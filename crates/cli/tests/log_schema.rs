@@ -128,6 +128,7 @@ fn mine_log_json_emits_schema_valid_lines() {
         "actions_skipped",
         "stale_rebuilds",
         "repairs",
+        "stale_scans",
     ] {
         assert!(
             field(obj, key).and_then(Value::as_u64).is_some(),
@@ -155,6 +156,15 @@ fn mine_log_json_emits_schema_valid_lines() {
         .and_then(Value::as_str)
         .expect("floc.done missing stop_reason");
     assert!(!reason.is_empty());
+    for key in ["stale_rebuilds", "repairs", "stale_scans"] {
+        assert!(
+            done.as_object()
+                .and_then(|o| field(o, key))
+                .and_then(Value::as_u64)
+                .is_some(),
+            "floc.done missing {key}: {done:?}"
+        );
+    }
 
     // --metrics wrote an aggregate file alongside the event stream.
     let metrics_text = std::fs::read_to_string(&metrics).expect("metrics.json missing");

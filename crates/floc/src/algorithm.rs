@@ -172,7 +172,7 @@ fn evaluate_best_actions(
                 continue;
             }
             let g = match engine {
-                Some(eng) => residues[c] - eng.toggled_residue(c, target, state, matrix),
+                Some(eng) => residues[c] - eng.toggled_residue(c, target, state, matrix, scratch),
                 None => action::gain(matrix, state, residues[c], target, config.mean, scratch),
             };
             if g > best.gain {
@@ -494,6 +494,7 @@ fn run_loop(
     // (each iteration rebuilds the engine, resetting its own counters).
     let mut total_stale_rebuilds = 0u64;
     let mut total_repairs = 0u64;
+    let mut total_stale_scans = 0u64;
     let mut scratch = Scratch::default();
     let mut best_residues: Vec<f64> = best
         .iter()
@@ -607,7 +608,7 @@ fn run_loop(
                     }
                     let g = match engine.as_ref() {
                         Some(eng) => {
-                            let tr = eng.toggled_residue(c, target, state, matrix);
+                            let tr = eng.toggled_residue(c, target, state, matrix, &mut scratch);
                             let g = residues[c] - tr;
                             if g > best_gain {
                                 toggled_res = tr;
@@ -648,7 +649,8 @@ fn run_loop(
                     // The pre-decided gain is stale; query the residue the
                     // toggle actually produces against the current state.
                     eng.prepare(matrix, &states, act.target.is_row());
-                    toggled_res = eng.toggled_residue(c, act.target, &states[c], matrix);
+                    toggled_res =
+                        eng.toggled_residue(c, act.target, &states[c], matrix, &mut scratch);
                 }
                 // Repair the indexes from the pre-toggle state, then toggle.
                 eng.apply(matrix, &states[c], act);
@@ -679,9 +681,11 @@ fn run_loop(
             actions_performed: performed.len(),
             improved,
         });
-        let (iter_rebuilds, iter_repairs) = engine.as_ref().map_or((0, 0), |e| e.counters());
+        let (iter_rebuilds, iter_repairs, iter_scans) =
+            engine.as_ref().map_or((0, 0, 0), |e| e.counters());
         total_stale_rebuilds += iter_rebuilds;
         total_repairs += iter_repairs;
+        total_stale_scans += iter_scans;
         if obs.enabled() {
             obs.emit(
                 "floc.iteration",
@@ -707,6 +711,7 @@ fn run_loop(
                     ),
                     Field::new("stale_rebuilds", iter_rebuilds),
                     Field::new("repairs", iter_repairs),
+                    Field::new("stale_scans", iter_scans),
                     Field::new("eval_nanos", eval_nanos),
                     Field::new("rebuild_nanos", rebuild_nanos),
                     Field::new("apply_nanos", apply_nanos),
@@ -794,6 +799,7 @@ fn run_loop(
                 ),
                 Field::new("stale_rebuilds", total_stale_rebuilds),
                 Field::new("repairs", total_repairs),
+                Field::new("stale_scans", total_stale_scans),
             ],
         );
     }

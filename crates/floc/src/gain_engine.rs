@@ -20,12 +20,12 @@
 //!
 //! — a per-column constant shift. With the `s_ij` of each column kept
 //! sorted alongside prefix sums (`pre`) and prefix sums of squares
-//! (`pre2`), the column's contribution to the toggled residue is a closed
+//! (`pre²`), the column's contribution to the toggled residue is a closed
 //! form:
 //!
 //! * arithmetic mean: `Σ|s − t| = (lo·t − pre[lo]) + (pre[n] − pre[lo] −
 //!   (n−lo)·t)` where `lo = #{s < t}` from one binary search;
-//! * squared mean: `Σ(s − t)² = pre2[n] − 2t·pre[n] + n·t²`, no search.
+//! * squared mean: `Σ(s − t)² = pre²[n] − 2t·pre[n] + n·t²`, no search.
 //!
 //! Symmetrically, toggling column `y` leaves every column base `d_Ij`
 //! (`j ≠ y`) unchanged, so per-row sorted arrays of `u_ij = d_ij − d_Ij`
@@ -33,27 +33,54 @@
 //!
 //! ## Maintenance across applies
 //!
-//! Applying a row toggle keeps the per-column (`s`) indexes repairable in
-//! `O(|J| · |I|)` — only row `x`'s entries enter or leave, with every other
-//! `s` value untouched — but shifts every column base, invalidating all
-//! per-row (`u`) indexes at once. Rather than rebuilding both sides after
-//! every apply, each side carries a dirty flag: the same side is repaired
-//! in place, the opposite side is marked stale and lazily rebuilt by
-//! [`IncrementalEngine::prepare`] the next time a query needs it. The
-//! driver rebuilds the whole engine from the canonical cluster states at
-//! every iteration boundary — the *drift guard* that keeps long runs (and
-//! checkpoint/resume) anchored to the exact statistics.
+//! Applying a row toggle keeps the per-column (`s`) side repairable in
+//! place — only row `x`'s entries enter or leave, every other `s` value is
+//! untouched — but shifts every column base, so the whole per-row (`u`)
+//! side goes *stale* (columns symmetrically). The driver re-decides and
+//! performs the `N+M` actions one after another, so the two kinds of
+//! toggle interleave and the opposite side is invalidated again and again.
+//!
+//! * **Same side:** [`IncrementalEngine::apply`] repairs it in place. Each
+//!   line's insert/remove shifts the sorted arrays and overwrites the
+//!   prefix pairs from the changed position on, in the same summation
+//!   order as a fresh build, so a repaired line is bit-identical to a
+//!   rebuilt one.
+//! * **Stale side:** each query goes to the exact scanner
+//!   ([`ClusterState::residue_if_row_toggled`] /
+//!   [`ClusterState::residue_if_col_toggled`]) until the side has answered
+//!   `STALE_SCANS` queries since it last went stale; only then does
+//!   [`IncrementalEngine::prepare`] rebuild it. A side that is invalidated
+//!   again within that many queries is never rebuilt, and one that keeps
+//!   being queried pays at most `STALE_SCANS` scans on top of the rebuild.
+//!   A stale side is not repaired by applies.
+//!
+//! The driver rebuilds the whole engine from the canonical cluster states
+//! at every iteration boundary — the *drift guard* that keeps long runs
+//! (and checkpoint/resume) anchored to the exact statistics.
 
 use crate::action::{Action, Target};
 use crate::residue::ResidueMean;
-use crate::stats::ClusterState;
+use crate::stats::{ClusterState, Scratch};
 use dc_matrix::DataMatrix;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Matrices with at least this many cells default to the incremental
 /// engine under [`GainEngineKind::Auto`]. Below it the exact scanner is
 /// both fast enough and free of index-maintenance overhead.
 pub const AUTO_INCREMENTAL_CELLS: usize = 10_000;
+
+/// Exact-scan answers a stale index side gives before
+/// [`IncrementalEngine::prepare`] rebuilds it. One scan is one pass over
+/// the cluster submatrix; a rebuild is that pass plus a sort of every line,
+/// so a side invalidated again within this many queries is cheaper never
+/// rebuilt, and one that is not costs at most this many scans extra.
+/// Chosen from 1, 2, 3, 4, 8 and 16 on the benchmark's mine-large and
+/// mine-fig8 workloads (2-vCPU x86-64 host): fig8's lazy rebuilds fall
+/// from ~3,000 at 1 to ~830 at 4, while from 8 on the extra scans of
+/// mine-large's big clusters add a fifth or more to its gain evaluation;
+/// 2–4 measured alike end to end.
+const STALE_SCANS: u32 = 4;
 
 /// Which engine drives phase-2 gain evaluation (selected in
 /// [`crate::FlocConfig`]).
@@ -105,10 +132,9 @@ struct DimIndex {
     /// Row id (in a per-column index) / column id (per-row), aligned with
     /// `vals`.
     ids: Vec<u32>,
-    /// `pre[i] = vals[..i].sum()`; length `vals.len() + 1`.
-    pre: Vec<f64>,
-    /// Prefix sums of `vals[i]²`, for the squared mean's closed form.
-    pre2: Vec<f64>,
+    /// `pre[i] = [Σ vals[..i], Σ vals[..i]²]` — the squares serve the
+    /// squared mean's closed form; length `vals.len() + 1`.
+    pre: Vec<[f64; 2]>,
 }
 
 impl DimIndex {
@@ -116,7 +142,6 @@ impl DimIndex {
         self.vals.clear();
         self.ids.clear();
         self.pre.clear();
-        self.pre2.clear();
     }
 
     #[cfg(test)]
@@ -157,18 +182,8 @@ impl DimIndex {
 
     fn rebuild_prefixes(&mut self) {
         self.pre.clear();
-        self.pre2.clear();
-        self.pre.reserve(self.vals.len() + 1);
-        self.pre2.reserve(self.vals.len() + 1);
-        let (mut s, mut s2) = (0.0, 0.0);
-        self.pre.push(0.0);
-        self.pre2.push(0.0);
-        for &v in &self.vals {
-            s += v;
-            s2 += v * v;
-            self.pre.push(s);
-            self.pre2.push(s2);
-        }
+        self.pre.resize(self.vals.len() + 1, [0.0; 2]);
+        self.repair_prefixes_from(0);
     }
 
     /// First position at or after which `(val, id)` sorts.
@@ -181,23 +196,16 @@ impl DimIndex {
         pos
     }
 
-    /// Recomputes `pre`/`pre2` from position `pos` on. Entries below `pos`
-    /// depend only on the unchanged value prefix, so resuming the running
-    /// sums from `pre[pos]`/`pre2[pos]` is bit-identical to a full rebuild
-    /// while touching only the suffix.
+    /// Overwrites `pre[pos + 1..]` in place. Entries up to `pos` depend
+    /// only on the unchanged value prefix, so resuming the running sums
+    /// from `pre[pos]` is bit-identical to a full rebuild while touching
+    /// only the suffix. `pre` must already have `vals.len() + 1` entries.
     fn repair_prefixes_from(&mut self, pos: usize) {
-        if self.pre.is_empty() {
-            self.pre.push(0.0);
-            self.pre2.push(0.0);
-        }
-        self.pre.truncate(pos + 1);
-        self.pre2.truncate(pos + 1);
-        let (mut s, mut s2) = (self.pre[pos], self.pre2[pos]);
-        for &v in &self.vals[pos..] {
+        let [mut s, mut s2] = self.pre[pos];
+        for (p, &v) in self.pre[pos + 1..].iter_mut().zip(&self.vals[pos..]) {
             s += v;
             s2 += v * v;
-            self.pre.push(s);
-            self.pre2.push(s2);
+            *p = [s, s2];
         }
     }
 
@@ -207,6 +215,10 @@ impl DimIndex {
         let pos = self.position(val, id);
         self.vals.insert(pos, val);
         self.ids.insert(pos, id);
+        if self.pre.is_empty() {
+            self.pre.push([0.0; 2]);
+        }
+        self.pre.push([0.0; 2]);
         self.repair_prefixes_from(pos);
     }
 
@@ -227,6 +239,7 @@ impl DimIndex {
         };
         self.vals.remove(at);
         self.ids.remove(at);
+        self.pre.pop();
         self.repair_prefixes_from(at);
     }
 
@@ -241,17 +254,43 @@ impl DimIndex {
         match mean {
             ResidueMean::Arithmetic => {
                 let lo = self.vals.partition_point(|&s| s < t);
-                let left = t * lo as f64 - self.pre[lo];
-                let right = (self.pre[n] - self.pre[lo]) - t * (n - lo) as f64;
+                let (below, all) = (self.pre[lo][0], self.pre[n][0]);
+                let left = t * lo as f64 - below;
+                let right = (all - below) - t * (n - lo) as f64;
                 left + right
             }
-            ResidueMean::Squared => self.pre2[n] - 2.0 * t * self.pre[n] + n as f64 * t * t,
+            ResidueMean::Squared => {
+                let [all, all2] = self.pre[n];
+                all2 - 2.0 * t * all + n as f64 * t * t
+            }
         }
     }
 }
 
+/// Freshness of one index side of a cluster.
+#[derive(Debug, Default)]
+struct Side {
+    /// The side matches the cluster's current state.
+    ok: bool,
+    /// Exact-scan answers given since the side last went stale. Bumped by
+    /// `&self` queries (hence atomic), read by [`IncrementalEngine::prepare`].
+    scans: AtomicU32,
+}
+
+impl Side {
+    fn invalidate(&mut self) {
+        self.ok = false;
+        *self.scans.get_mut() = 0;
+    }
+
+    /// Stale, and has given its `STALE_SCANS` exact-scan answers.
+    fn due_for_rebuild(&mut self) -> bool {
+        !self.ok && *self.scans.get_mut() >= STALE_SCANS
+    }
+}
+
 /// Both index sides of one cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ClusterIndex {
     /// `by_col[j]` holds the sorted `s_ij = d_ij − d_iJ` of column `j`
     /// over the cluster's rows — serves **row**-toggle queries. Empty for
@@ -260,10 +299,10 @@ struct ClusterIndex {
     /// `by_row[i]` holds the sorted `u_ij = d_ij − d_Ij` of row `i` over
     /// the cluster's columns — serves **column**-toggle queries.
     by_row: Vec<DimIndex>,
-    /// `by_col` matches the cluster's current state.
-    col_ok: bool,
-    /// `by_row` matches the cluster's current state.
-    row_ok: bool,
+    /// Freshness of `by_col`.
+    col_side: Side,
+    /// Freshness of `by_row`.
+    row_side: Side,
     /// `(value, id)` pairs reused across every line rebuild of this
     /// cluster, so steady-state rebuilds allocate nothing.
     sort_buf: Vec<(f64, u32)>,
@@ -277,8 +316,8 @@ impl ClusterIndex {
         ClusterIndex {
             by_col: vec![DimIndex::default(); matrix.cols()],
             by_row: vec![DimIndex::default(); matrix.rows()],
-            col_ok: false,
-            row_ok: false,
+            col_side: Side::default(),
+            row_side: Side::default(),
             sort_buf: Vec::new(),
             base_buf: Vec::new(),
         }
@@ -304,7 +343,7 @@ impl ClusterIndex {
             }
             self.by_col[j].assign_sorted(&mut self.sort_buf);
         }
-        self.col_ok = true;
+        self.col_side.ok = true;
     }
 
     fn rebuild_by_row(&mut self, matrix: &DataMatrix, st: &ClusterState) {
@@ -325,7 +364,7 @@ impl ClusterIndex {
             }
             self.by_row[i].assign_sorted(&mut self.sort_buf);
         }
-        self.row_ok = true;
+        self.row_side.ok = true;
     }
 }
 
@@ -346,6 +385,8 @@ pub struct IncrementalEngine {
     stale_rebuilds: u64,
     /// In-place same-side repairs performed by [`Self::apply`].
     repairs: u64,
+    /// Queries answered by the exact scanner because their side was stale.
+    stale_scans: AtomicU64,
 }
 
 impl IncrementalEngine {
@@ -369,6 +410,7 @@ impl IncrementalEngine {
             mean,
             stale_rebuilds: 0,
             repairs: 0,
+            stale_scans: AtomicU64::new(0),
         };
         let threads = threads.max(1).min(states.len().max(1));
         if threads <= 1 || states.len() < 2 {
@@ -397,16 +439,18 @@ impl IncrementalEngine {
         engine
     }
 
-    /// Rebuilds any stale index side needed for the next queries:
-    /// row-toggle queries (`is_row`) read the per-column side, column
-    /// toggles the per-row side. No-op for clean sides.
+    /// Rebuilds every stale index side the next queries read that has
+    /// already given its `STALE_SCANS` exact-scan answers: row-toggle
+    /// queries (`is_row`) read the per-column side, column toggles the
+    /// per-row side. Other stale sides keep answering by scan; clean sides
+    /// are untouched.
     pub fn prepare(&mut self, matrix: &DataMatrix, states: &[ClusterState], is_row: bool) {
         for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if is_row && !ci.col_ok {
+            if is_row && ci.col_side.due_for_rebuild() {
                 ci.rebuild_by_col(matrix, st);
                 self.stale_rebuilds += 1;
             }
-            if !is_row && !ci.row_ok {
+            if !is_row && ci.row_side.due_for_rebuild() {
                 ci.rebuild_by_row(matrix, st);
                 self.stale_rebuilds += 1;
             }
@@ -414,41 +458,61 @@ impl IncrementalEngine {
     }
 
     /// Maintenance tallies since [`Self::build`]:
-    /// `(stale_rebuilds, repairs)` — lazy side rebuilds in
-    /// [`Self::prepare`] and in-place same-side repairs in [`Self::apply`].
+    /// `(stale_rebuilds, repairs, stale_scans)` — lazy side rebuilds in
+    /// [`Self::prepare`], in-place same-side repairs in [`Self::apply`],
+    /// and queries answered by the exact scanner from a stale side.
     /// Read-only diagnostics for observability; they never influence the
     /// search.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.stale_rebuilds, self.repairs)
+    pub fn counters(&self) -> (u64, u64, u64) {
+        (
+            self.stale_rebuilds,
+            self.repairs,
+            self.stale_scans.load(Ordering::Relaxed),
+        )
     }
 
     /// The residue cluster `cluster` would have with `target` toggled —
     /// the incremental counterpart of [`ClusterState::residue_if_row_toggled`] /
     /// [`ClusterState::residue_if_col_toggled`]. `st` must be the state the
-    /// engine's indexes were built/repaired against, and the queried side
-    /// must have been [`Self::prepare`]d.
+    /// engine's indexes were built/repaired against. When the side the
+    /// query reads is stale, the answer comes from that exact scanner
+    /// (using `scratch`) and counts towards the side's rebuild in the next
+    /// [`Self::prepare`].
     pub fn toggled_residue(
         &self,
         cluster: usize,
         target: Target,
         st: &ClusterState,
         matrix: &DataMatrix,
+        scratch: &mut Scratch,
     ) -> f64 {
+        let ci = &self.clusters[cluster];
+        let side = if target.is_row() {
+            &ci.col_side
+        } else {
+            &ci.row_side
+        };
+        if !side.ok {
+            side.scans.fetch_add(1, Ordering::Relaxed);
+            self.stale_scans.fetch_add(1, Ordering::Relaxed);
+            return match target {
+                Target::Row(r) => st.residue_if_row_toggled(matrix, r, self.mean, scratch),
+                Target::Col(c) => st.residue_if_col_toggled(matrix, c, self.mean, scratch),
+            };
+        }
         match target {
-            Target::Row(r) => self.residue_row_toggled(cluster, r, st, matrix),
-            Target::Col(c) => self.residue_col_toggled(cluster, c, st, matrix),
+            Target::Row(r) => self.residue_row_toggled(ci, r, st, matrix),
+            Target::Col(c) => self.residue_col_toggled(ci, c, st, matrix),
         }
     }
 
     fn residue_row_toggled(
         &self,
-        cluster: usize,
+        ci: &ClusterIndex,
         x: usize,
         st: &ClusterState,
         matrix: &DataMatrix,
     ) -> f64 {
-        let ci = &self.clusters[cluster];
-        debug_assert!(ci.col_ok, "row query against a stale per-column index");
         let adding = !st.rows.contains(x);
         let sign = if adding { 1.0 } else { -1.0 };
 
@@ -505,13 +569,11 @@ impl IncrementalEngine {
 
     fn residue_col_toggled(
         &self,
-        cluster: usize,
+        ci: &ClusterIndex,
         y: usize,
         st: &ClusterState,
         matrix: &DataMatrix,
     ) -> f64 {
-        let ci = &self.clusters[cluster];
-        debug_assert!(ci.row_ok, "column query against a stale per-row index");
         let adding = !st.cols.contains(y);
         let sign = if adding { 1.0 } else { -1.0 };
 
@@ -574,7 +636,7 @@ impl IncrementalEngine {
     /// reproduce the stored values) and re-enter in
     /// [`Self::finish_row_update`]. The per-row (`u`) side cannot be saved
     /// — mutating `row` shifts column bases for every member row — so it
-    /// is marked stale for the next [`Self::prepare`].
+    /// is marked stale.
     ///
     /// Clusters that do not contain `row` are untouched: none of their
     /// statistics depend on a non-member row's data.
@@ -583,9 +645,9 @@ impl IncrementalEngine {
             if !st.rows.contains(row) {
                 continue;
             }
-            ci.row_ok = false;
-            if !ci.col_ok {
-                continue; // stale anyway; prepare() will rebuild
+            ci.row_side.invalidate();
+            if !ci.col_side.ok {
+                continue; // stale: answered by scan until rebuilt
             }
             self.repairs += 1;
             if st.row_specified(row) > 0 {
@@ -603,7 +665,7 @@ impl IncrementalEngine {
     /// sums produce the new invariant residues.
     pub fn finish_row_update(&mut self, matrix: &DataMatrix, states: &[ClusterState], row: usize) {
         for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if !st.rows.contains(row) || !ci.col_ok {
+            if !st.rows.contains(row) || !ci.col_side.ok {
                 continue;
             }
             if st.row_specified(row) > 0 {
@@ -620,14 +682,14 @@ impl IncrementalEngine {
     /// toggle (the pre-toggle sums reproduce the stored values to remove).
     ///
     /// Repairs the same-side index in place (`O(line · |I or J|)`) and
-    /// marks the opposite side stale for the next [`Self::prepare`].
+    /// marks the opposite side stale.
     pub fn apply(&mut self, matrix: &DataMatrix, st: &ClusterState, action: Action) {
         let ci = &mut self.clusters[action.cluster];
         match action.target {
             Target::Row(x) => {
-                ci.row_ok = false; // every column base shifts
-                if !ci.col_ok {
-                    return; // stale anyway; prepare() will rebuild
+                ci.row_side.invalidate(); // every column base shifts
+                if !ci.col_side.ok {
+                    return; // stale: answered by scan until rebuilt
                 }
                 self.repairs += 1;
                 if st.rows.contains(x) {
@@ -648,8 +710,8 @@ impl IncrementalEngine {
                 }
             }
             Target::Col(y) => {
-                ci.col_ok = false;
-                if !ci.row_ok {
+                ci.col_side.invalidate();
+                if !ci.row_side.ok {
                     return;
                 }
                 self.repairs += 1;
@@ -717,12 +779,12 @@ mod tests {
                 let mut scratch = Scratch::default();
                 for r in 0..12 {
                     let exact = st.residue_if_row_toggled(&m, r, mean, &mut scratch);
-                    let incr = engine.toggled_residue(0, Target::Row(r), &st, &m);
+                    let incr = engine.toggled_residue(0, Target::Row(r), &st, &m, &mut scratch);
                     assert_close(incr, exact, &format!("row {r} ({mean:?}, seed {seed})"));
                 }
                 for c in 0..9 {
                     let exact = st.residue_if_col_toggled(&m, c, mean, &mut scratch);
-                    let incr = engine.toggled_residue(0, Target::Col(c), &st, &m);
+                    let incr = engine.toggled_residue(0, Target::Col(c), &st, &m, &mut scratch);
                     assert_close(incr, exact, &format!("col {c} ({mean:?}, seed {seed})"));
                 }
             }
@@ -752,7 +814,7 @@ mod tests {
                     Target::Row(r) => st.residue_if_row_toggled(&m, r, mean, &mut scratch),
                     Target::Col(c) => st.residue_if_col_toggled(&m, c, mean, &mut scratch),
                 };
-                let incr = engine.toggled_residue(0, target, &st, &m);
+                let incr = engine.toggled_residue(0, target, &st, &m, &mut scratch);
                 assert_close(incr, exact, &format!("step {step} {target:?} ({mean:?})"));
                 // Keep the cluster non-degenerate for the next step.
                 let would_empty = match target {
@@ -820,16 +882,17 @@ mod tests {
                 for (k, st) in states.iter().enumerate() {
                     for r in 0..12 {
                         let exact = st.residue_if_row_toggled(&m, r, mean, &mut scratch);
-                        let incr = engine.toggled_residue(k, Target::Row(r), st, &m);
+                        let incr = engine.toggled_residue(k, Target::Row(r), st, &m, &mut scratch);
                         assert_close(incr, exact, &format!("step {step} cluster {k} row {r}"));
                     }
                 }
-                // Column queries need the lazily rebuilt per-row side.
+                // Column queries read the stale per-row side: exact scans
+                // until prepare() rebuilds it.
                 engine.prepare(&m, &states, false);
                 for (k, st) in states.iter().enumerate() {
                     for c in 0..9 {
                         let exact = st.residue_if_col_toggled(&m, c, mean, &mut scratch);
-                        let incr = engine.toggled_residue(k, Target::Col(c), st, &m);
+                        let incr = engine.toggled_residue(k, Target::Col(c), st, &m, &mut scratch);
                         assert_close(incr, exact, &format!("step {step} cluster {k} col {c}"));
                     }
                 }
@@ -843,33 +906,77 @@ mod tests {
         }
     }
 
+    /// Queries `target` on cluster 0 and checks the answer against the
+    /// exact scanner.
+    fn assert_query_matches(
+        engine: &IncrementalEngine,
+        st: &ClusterState,
+        m: &DataMatrix,
+        target: Target,
+        scratch: &mut Scratch,
+    ) {
+        let exact = match target {
+            Target::Row(r) => st.residue_if_row_toggled(m, r, engine.mean, scratch),
+            Target::Col(c) => st.residue_if_col_toggled(m, c, engine.mean, scratch),
+        };
+        let incr = engine.toggled_residue(0, target, st, m, scratch);
+        assert_close(incr, exact, &format!("{target:?}"));
+    }
+
     #[test]
     fn maintenance_counters_track_repairs_and_rebuilds() {
         let m = random_matrix(10, 8, 0.9, 11);
         let mut st = ClusterState::new(&m, &DeltaCluster::from_indices(10, 8, 0..5, 0..4));
-        let mut engine =
-            IncrementalEngine::build(&m, std::slice::from_ref(&st), ResidueMean::Arithmetic);
-        assert_eq!(engine.counters(), (0, 0), "fresh build starts clean");
+        let states = std::slice::from_ref;
+        let mut engine = IncrementalEngine::build(&m, states(&st), ResidueMean::Arithmetic);
+        let mut scratch = Scratch::default();
+        assert_eq!(engine.counters(), (0, 0, 0), "fresh build starts clean");
 
         // A row apply repairs the per-column side in place…
-        engine.apply(
-            &m,
-            &st,
-            Action {
-                target: Target::Row(7),
-                cluster: 0,
-            },
-        );
+        let row7 = Action {
+            target: Target::Row(7),
+            cluster: 0,
+        };
+        engine.apply(&m, &st, row7);
         st.toggle_row(&m, 7);
-        assert_eq!(engine.counters(), (0, 1));
+        assert_eq!(engine.counters(), (0, 1, 0));
 
-        // …and marks the per-row side stale, so a column-side prepare
-        // performs one lazy rebuild.
-        engine.prepare(&m, std::slice::from_ref(&st), false);
-        assert_eq!(engine.counters(), (1, 1));
-        // Preparing a clean side is a no-op.
-        engine.prepare(&m, std::slice::from_ref(&st), false);
-        assert_eq!(engine.counters(), (1, 1));
+        // …and marks the per-row side stale: column queries read it, and
+        // the first STALE_SCANS of them are answered by the exact scan.
+        let scans = u64::from(STALE_SCANS);
+        for n in 1..=scans {
+            engine.prepare(&m, states(&st), false);
+            assert_query_matches(&engine, &st, &m, Target::Col(n as usize % 8), &mut scratch);
+            assert_eq!(engine.counters(), (0, 1, n), "scan {n} rebuilds nothing");
+        }
+        // Then prepare rebuilds the side exactly once, and later queries
+        // come from the rebuilt index.
+        for c in 0..8 {
+            engine.prepare(&m, states(&st), false);
+            assert_query_matches(&engine, &st, &m, Target::Col(c), &mut scratch);
+        }
+        assert_eq!(engine.counters(), (1, 1, scans));
+        // Row queries read the repaired (never stale) per-column side.
+        for r in 0..10 {
+            engine.prepare(&m, states(&st), true);
+            assert_query_matches(&engine, &st, &m, Target::Row(r), &mut scratch);
+        }
+        assert_eq!(engine.counters(), (1, 1, scans));
+
+        // A side invalidated before every query is never rebuilt: each row
+        // apply resets the per-row side's scan count.
+        for n in 1..=3 * scans {
+            engine.apply(&m, &st, row7);
+            st.toggle_row(&m, 7);
+            engine.prepare(&m, states(&st), false);
+            assert_query_matches(&engine, &st, &m, Target::Col(n as usize % 8), &mut scratch);
+            assert_eq!(engine.counters(), (1, 1 + n, scans + n));
+        }
+        // Row queries still come from the in-place repaired per-column side.
+        for r in 0..10 {
+            assert_query_matches(&engine, &st, &m, Target::Row(r), &mut scratch);
+        }
+        assert_eq!(engine.counters(), (1, 1 + 3 * scans, 4 * scans));
     }
 
     #[test]
@@ -898,6 +1005,47 @@ mod tests {
             assert!((d.query(t, ResidueMean::Squared) - naive_sq).abs() < 1e-12);
         }
         assert_eq!(DimIndex::default().query(1.0, ResidueMean::Arithmetic), 0.0);
+    }
+
+    /// In-place insert/remove repair is bit-identical to a fresh
+    /// `assign_sorted` of the same entries, over a long random walk on a
+    /// line of several hundred entries with many tied values.
+    #[test]
+    fn dim_index_repairs_match_a_fresh_build_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(13);
+        // Few distinct values (so ties are common), none exact in binary.
+        let draw = |rng: &mut StdRng| rng.gen_range(-25i32..25) as f64 * 0.37 + 0.1;
+        let mut live: Vec<(f64, u32)> = (0..400).map(|id| (draw(&mut rng), id)).collect();
+        let mut next_id = live.len() as u32;
+        let mut d = DimIndex::default();
+        d.assign_sorted(&mut live.clone());
+        let mut fresh = DimIndex::default();
+        for step in 0..2_500 {
+            let grow = live.len() < 300 || (live.len() < 500 && rng.gen_bool(0.5));
+            if grow {
+                let entry = (draw(&mut rng), next_id);
+                next_id += 1;
+                live.push(entry);
+                d.insert(entry.0, entry.1);
+            } else {
+                let (val, id) = live.swap_remove(rng.gen_range(0..live.len()));
+                d.remove(val, id);
+            }
+            fresh.assign_sorted(&mut live.clone());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let pair_bits = |v: &[[f64; 2]]| {
+                v.iter()
+                    .map(|[a, b]| (a.to_bits(), b.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&d.vals), bits(&fresh.vals), "vals, step {step}");
+            assert_eq!(d.ids, fresh.ids, "ids, step {step}");
+            assert_eq!(
+                pair_bits(&d.pre),
+                pair_bits(&fresh.pre),
+                "prefixes, step {step}"
+            );
+        }
     }
 
     #[test]

@@ -266,7 +266,7 @@ proptest! {
             let engine = IncrementalEngine::build(&m, std::slice::from_ref(&state), mean);
             for r in 0..m.rows() {
                 let exact = state.residue_if_row_toggled(&m, r, mean, &mut scratch);
-                let incr = engine.toggled_residue(0, Target::Row(r), &state, &m);
+                let incr = engine.toggled_residue(0, Target::Row(r), &state, &m, &mut scratch);
                 prop_assert!(
                     (incr - exact).abs() <= 1e-9 * (1.0 + exact.abs()),
                     "row {r} {mean:?}: incremental {incr} vs exact {exact}"
@@ -274,7 +274,7 @@ proptest! {
             }
             for col in 0..m.cols() {
                 let exact = state.residue_if_col_toggled(&m, col, mean, &mut scratch);
-                let incr = engine.toggled_residue(0, Target::Col(col), &state, &m);
+                let incr = engine.toggled_residue(0, Target::Col(col), &state, &m, &mut scratch);
                 prop_assert!(
                     (incr - exact).abs() <= 1e-9 * (1.0 + exact.abs()),
                     "col {col} {mean:?}: incremental {incr} vs exact {exact}"
