@@ -418,7 +418,7 @@ fn resume_inner(
 #[allow(clippy::too_many_arguments)]
 fn snapshot(
     matrix: &DataMatrix,
-    fingerprint: u64,
+    fingerprint: &mut Option<u64>,
     config: &FlocConfig,
     iterations: usize,
     rng_state: [u64; 4],
@@ -433,7 +433,7 @@ fn snapshot(
         matrix_rows: matrix.rows(),
         matrix_cols: matrix.cols(),
         matrix_specified: matrix.specified_count(),
-        matrix_fingerprint: fingerprint,
+        matrix_fingerprint: *fingerprint.get_or_insert_with(|| matrix.fingerprint()),
         iterations,
         rng_state: rng_state.to_vec(),
         clusters: best.iter().map(|s| s.to_cluster()).collect(),
@@ -489,7 +489,9 @@ fn run_loop(
     obs: &Obs,
 ) -> FlocResult {
     let start = Instant::now();
-    let fingerprint = matrix.fingerprint();
+    // Only snapshots carry the fingerprint, and it reads every cell, so an
+    // unobserved run never computes it.
+    let mut fingerprint = None;
     // Cumulative gain-engine maintenance tallies across the whole run
     // (each iteration rebuilds the engine, resetting its own counters).
     let mut total_stale_rebuilds = 0u64;
@@ -749,7 +751,7 @@ fn run_loop(
         if observer.is_some() || obs.enabled() {
             let snap = snapshot(
                 matrix,
-                fingerprint,
+                &mut fingerprint,
                 config,
                 iterations,
                 rng.state(),
@@ -772,7 +774,7 @@ fn run_loop(
         };
         let snap = snapshot(
             matrix,
-            fingerprint,
+            &mut fingerprint,
             config,
             iterations,
             rng.state(),

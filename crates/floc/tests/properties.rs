@@ -418,6 +418,11 @@ proptest! {
         let sink_seen = collector.0.lock().unwrap().clone();
         prop_assert_eq!(&sink_seen, &closure_seen);
         prop_assert_eq!(&sunk.clusters, &full.clusters);
+        // The fingerprint is computed lazily at the first snapshot; the
+        // terminal one must still carry the matrix's own.
+        let terminal = sink_seen.last().expect("a terminal snapshot");
+        prop_assert!(terminal.stop.is_some());
+        prop_assert_eq!(terminal.matrix_fingerprint, m.fingerprint());
 
         for ckpt in &sink_seen {
             let resumed =

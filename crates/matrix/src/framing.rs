@@ -72,32 +72,70 @@ impl From<std::io::Error> for FrameError {
 
 // ---- CRC-32 (IEEE 802.3, reflected) --------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 tables. `CRC32_TABLES[0]` is the classic byte-at-a-time
+/// table; `CRC32_TABLES[k][b]` is the register update for byte `b` followed
+/// by `k` zero bytes, so sixteen lookups fold a 16-byte block at once.
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC32_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let b: &[u8; 16] = block.try_into().expect("chunks_exact(16) yields 16 bytes");
+        let head = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -303,6 +341,46 @@ mod tests {
         // The standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF43926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bit-at-a-time CRC-32 straight from the definition: the reference
+    /// the table-driven `crc32` must reproduce.
+    fn naive_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let lsb = crc & 1;
+                crc >>= 1;
+                if lsb != 0 {
+                    crc ^= 0xEDB8_8320;
+                }
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_oracle_at_every_length_and_offset() {
+        // xorshift64: deterministic pseudo-random bytes.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..12_837 + 16)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for start in 0..16 {
+            for len in 0..=257 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), naive_crc32(s), "start {start} len {len}");
+            }
+        }
+        // One buffer the size of a mine-paged block file.
+        let block = &buf[3..3 + 12_837];
+        assert_eq!(crc32(block), naive_crc32(block));
     }
 
     #[test]

@@ -335,24 +335,57 @@ impl Chunk {
     pub(crate) fn mirror(&self, mask: &BitSet) -> &ChunkMirror {
         self.mirror.get_or_init(|| {
             let col_stride = self.n_rows.div_ceil(WORD_BITS).max(1);
-            let mut m = ChunkMirror {
-                values: Values::zeroed(self.values.storage(), self.n_rows * self.cols),
-                col_words: vec![0; self.cols * col_stride],
-                col_stride,
+            let mut col_words = vec![0; self.cols * col_stride];
+            let values = match &self.values {
+                Values::F64(v) => {
+                    Values::F64(self.transpose_specified(v, mask, &mut col_words, col_stride))
+                }
+                Values::F32(v) => {
+                    Values::F32(self.transpose_specified(v, mask, &mut col_words, col_stride))
+                }
             };
-            for local_r in 0..self.n_rows {
-                let global = (self.start_row + local_r) * self.cols;
-                for c in 0..self.cols {
-                    if mask.contains(global + c) {
-                        m.values
-                            .set(c * self.n_rows + local_r, self.value(local_r, c));
-                        m.col_words[c * col_stride + local_r / WORD_BITS] |=
-                            1u64 << (local_r % WORD_BITS);
-                    }
+            ChunkMirror {
+                values,
+                col_words,
+                col_stride,
+            }
+        })
+    }
+
+    /// Column-major copy of the specified cells of `rows` (this chunk's
+    /// row-major values; unspecified cells stay zero). Sets bit `local_r`
+    /// of column `c`'s words in `col_words` for each specified cell. Each
+    /// row's mask bits are scanned a word at a time, so the cost follows
+    /// the specified cells rather than one mask probe per cell.
+    fn transpose_specified<T: Copy + Default>(
+        &self,
+        rows: &[T],
+        mask: &BitSet,
+        col_words: &mut [u64],
+        col_stride: usize,
+    ) -> Vec<T> {
+        let (n_rows, cols) = (self.n_rows, self.cols);
+        let mut out = vec![T::default(); rows.len()];
+        let mut row_bits = Vec::new();
+        for local_r in 0..n_rows {
+            let first = (self.start_row + local_r) * cols;
+            if !extract_bit_range(mask.words(), first, cols, &mut row_bits) {
+                continue;
+            }
+            let row = &rows[local_r * cols..(local_r + 1) * cols];
+            let row_word = local_r / WORD_BITS;
+            let row_bit = 1u64 << (local_r % WORD_BITS);
+            for (wi, &word) in row_bits.iter().enumerate() {
+                let mut w = word;
+                while w != 0 {
+                    let c = wi * WORD_BITS + w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    out[c * n_rows + local_r] = row[c];
+                    col_words[c * col_stride + row_word] |= row_bit;
                 }
             }
-            m
-        })
+        }
+        out
     }
 }
 
@@ -427,24 +460,28 @@ fn decode_chunk(bytes: &[u8], path: &Path, expect: &ChunkExpect) -> Result<Chunk
             "chunk storage precision differs from metadata",
         ));
     }
-    let n = n_rows
+    let width = match storage {
+        ValueStorage::F64 => 8,
+        ValueStorage::F32 => 4,
+    };
+    let payload_len = n_rows
         .checked_mul(expect.cols)
+        .and_then(|n| n.checked_mul(width))
         .ok_or_else(|| corrupt(path, "chunk dimensions overflow"))?;
+    let payload = r.take(payload_len).map_err(frame)?;
     let values = match storage {
-        ValueStorage::F64 => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f64().map_err(frame)?);
-            }
-            Values::F64(v)
-        }
-        ValueStorage::F32 => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f32().map_err(frame)?);
-            }
-            Values::F32(v)
-        }
+        ValueStorage::F64 => Values::F64(
+            payload
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("chunks_exact(8)")))
+                .collect(),
+        ),
+        ValueStorage::F32 => Values::F32(
+            payload
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().expect("chunks_exact(4)")))
+                .collect(),
+        ),
     };
     r.expect_end().map_err(frame)?;
     Ok(Chunk {
@@ -1355,6 +1392,46 @@ mod tests {
                 assert!(matches!(source, FrameError::ChecksumMismatch { .. }));
             }
             other => panic!("expected Frame error, got {other:?}"),
+        }
+
+        // A block from an f32 matrix of the same shape decodes there (the
+        // bulk f32 path), but its precision does not match this matrix.
+        let dir32 = scratch("corrupt-f32");
+        let m32 = MatrixBuilder::dense(10, 3)
+            .storage(ValueStorage::F32)
+            .paged(&dir32)
+            .chunk_rows(4)
+            .from_rows((0..30).map(|i| i as f64 * 0.5).collect())
+            .unwrap();
+        drop(m32);
+        let back32 = DataMatrix::open_paged(&dir32).unwrap();
+        assert_eq!(back32.storage(), ValueStorage::F32);
+        assert_eq!(back32.get(5, 2), Some(8.5));
+        std::fs::copy(chunk_path(&dir32, 1), &victim).unwrap();
+        match DataMatrix::open_paged(&dir) {
+            Err(PagedError::Corrupt { path, detail }) => {
+                assert_eq!(path, victim);
+                assert!(detail.contains("precision"), "{detail}");
+            }
+            other => panic!("expected Corrupt error, got {other:?}"),
+        }
+
+        // Payload one value short or one value long, CRC re-sealed: the
+        // bulk decode reports a typed frame error, never a panic.
+        for (len, truncated) in [(11, true), (13, false)] {
+            let values = Values::F64((0..len).map(|i| i as f64).collect());
+            std::fs::write(&victim, encode_chunk(1, 4, 4, &values)).unwrap();
+            match DataMatrix::open_paged(&dir) {
+                Err(PagedError::Frame { path, source }) => {
+                    assert_eq!(path, victim);
+                    if truncated {
+                        assert!(matches!(source, FrameError::Truncated), "{source}");
+                    } else {
+                        assert!(matches!(source, FrameError::Malformed(_)), "{source}");
+                    }
+                }
+                other => panic!("expected Frame error for {len} values, got {other:?}"),
+            }
         }
 
         // Delete the chunk entirely: typed I/O error.

@@ -332,7 +332,8 @@ fn serve_connection<H: RequestHandler>(
                 // terminate instead of waiting out idle timeouts.
                 let keep = req.keep_alive && !stop.load(Ordering::Acquire);
                 let head_only = req.method == Method::Head;
-                let wrote = resp.write_to(&mut writer, keep, head_only);
+                // Count the request before the client can see its response,
+                // so a `/metrics` read issued after it always includes it.
                 state.metrics().record_request(
                     state.obs(),
                     req.method.as_str(),
@@ -341,13 +342,13 @@ fn serve_connection<H: RequestHandler>(
                     started.elapsed(),
                     predictions,
                 );
+                let wrote = resp.write_to(&mut writer, keep, head_only);
                 if wrote.is_err() || !keep {
                     return;
                 }
             }
             Err(err) => {
                 if let Some(resp) = err.response() {
-                    let _ = resp.write_to(&mut writer, false, false);
                     state.metrics().record_request(
                         state.obs(),
                         "-",
@@ -356,6 +357,7 @@ fn serve_connection<H: RequestHandler>(
                         Duration::ZERO,
                         0,
                     );
+                    let _ = resp.write_to(&mut writer, false, false);
                 } else if matches!(err, RecvError::Io(_)) && state.obs().enabled() {
                     let text = err.to_string();
                     state

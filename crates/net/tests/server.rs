@@ -2,11 +2,14 @@
 //! keep-alive and pipelining, queue backpressure (503), graceful shutdown
 //! draining in-flight work, and the no-connection-leak invariant.
 
-use dc_net::{serve, AppState, HttpClient, Limits, ServerConfig, ServerHandle};
+use dc_net::{
+    serve, serve_handler, AppState, HttpClient, Limits, Request, RequestHandler, Response,
+    ServerConfig, ServerHandle, ServerMetrics,
+};
 use dc_obs::{MemorySink, Obs};
 use dc_serve::ServeModel;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn model_8x8() -> ServeModel {
@@ -320,4 +323,84 @@ fn requests_emit_structured_events() {
         .iter()
         .all(|e| e.u64_field("latency_bucket").is_some()));
     assert_eq!(sink.named("net.listen").len(), 1);
+}
+
+/// Wraps [`AppState`] to force the interleaving the metrics-ordering test
+/// checks: after a predict is handled, the server's next metrics access
+/// waits until a `/metrics` read has been answered (or a short timeout
+/// passes). Recording after the write lets that read in first; recording
+/// before the write keeps the client waiting until the timeout.
+struct GatedMetrics {
+    app: AppState,
+    armed: AtomicBool,
+    observed: (Mutex<bool>, Condvar),
+}
+
+impl RequestHandler for GatedMetrics {
+    fn handle(&self, req: &Request) -> Response {
+        let resp = self.app.handle(req);
+        if req.path == "/v1/predict" {
+            *self.observed.0.lock().unwrap() = false;
+            self.armed.store(true, Ordering::SeqCst);
+        } else if req.path == "/metrics" {
+            *self.observed.0.lock().unwrap() = true;
+            self.observed.1.notify_all();
+        }
+        resp
+    }
+
+    fn metrics(&self) -> &ServerMetrics {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            let (seen, cv) = &self.observed;
+            let guard = seen.lock().unwrap();
+            let _ = cv
+                .wait_timeout_while(guard, Duration::from_millis(100), |seen| !*seen)
+                .unwrap();
+        }
+        self.app.metrics()
+    }
+
+    fn obs(&self) -> &Obs {
+        self.app.obs()
+    }
+
+    fn predictions_in(&self, req: &Request, resp: &Response) -> u64 {
+        self.app.predictions_in(req, resp)
+    }
+}
+
+/// A request is counted before its response is written: a `/metrics` read
+/// sent on another connection right after a predict response arrives
+/// includes that response's predictions.
+#[test]
+fn metrics_count_a_response_before_the_client_sees_it() {
+    let state = Arc::new(GatedMetrics {
+        app: AppState::new(model_8x8(), Some("it.dcm"), 2, Obs::null()),
+        armed: AtomicBool::new(false),
+        observed: (Mutex::new(false), Condvar::new()),
+    });
+    let handle = serve_handler(
+        ServerConfig::default(),
+        state.clone(),
+        Arc::new(AtomicBool::new(false)),
+    )
+    .expect("bind loopback");
+    let mut predict = HttpClient::connect(handle.addr()).unwrap();
+    let mut observer = HttpClient::connect(handle.addr()).unwrap();
+    for sent in 1..=3u64 {
+        let resp = predict
+            .post_json("/v1/predict", "{\"queries\": [[0,0],[7,7],[1,1]]}")
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        let metrics = observer.get("/metrics").unwrap();
+        let parsed = serde_json::parse_value(&metrics.body_str()).unwrap();
+        let predictions = parsed
+            .as_object()
+            .unwrap()
+            .iter()
+            .find(|(k, _)| k == "predictions")
+            .and_then(|(_, v)| v.as_u64());
+        assert_eq!(predictions, Some(3 * sent), "after {sent} responses");
+    }
+    assert!(handle.shutdown(), "drain must complete within grace");
 }
