@@ -10,7 +10,7 @@
 //! cluster expansion is a serial FIFO walk — so labels depend only on the
 //! data, never on scheduling. The neighborhood precomputation is the only
 //! parallel part (independent per point, reduced in index order via
-//! [`crate::par::map_indexed`]).
+//! `par::map_indexed`).
 
 use crate::par::map_indexed;
 use dc_matrix::DataMatrix;

@@ -10,7 +10,7 @@
 //! * [`subclu`] — SUBCLU (Kailing et al., SDM 2004): bottom-up
 //!   density-based subspace clustering, DBSCAN per candidate subspace with
 //!   the Apriori monotonicity prune.
-//! * [`dbscan`] — the shared density engine behind SUBCLU.
+//! * [`dbscan`](mod@dbscan) — the shared density engine behind SUBCLU.
 //! * [`adapters`] — FLOC, Cheng–Church, and the §4.4 CLIQUE alternative
 //!   retrofitted behind the same interface.
 //!

@@ -3,7 +3,7 @@
 //! Data*, SDM 2004).
 //!
 //! Bottom-up lattice walk over subspaces, powered by the shared
-//! [`crate::dbscan`] engine:
+//! [`crate::dbscan`](mod@crate::dbscan) engine:
 //!
 //! 1. Run DBSCAN in every 1-dimensional subspace; keep the dimensions that
 //!    contain clusters.

@@ -32,5 +32,5 @@ fn main() {
     }
     println!("{report}");
     let _ = std::fs::create_dir_all(&opts.out_dir);
-    let _ = dc_serve::atomic_write(opts.out_dir.join("report.txt"), report.as_bytes());
+    let _ = dc_matrix::atomic::atomic_write(opts.out_dir.join("report.txt"), report.as_bytes());
 }

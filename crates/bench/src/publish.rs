@@ -4,7 +4,7 @@
 //! (gitignored scratch). The headline trajectory files — `BENCH_floc.json`,
 //! `BENCH_http.json` — are additionally copied to the repo root at the end
 //! of each bench bin so the performance history rides along with the code.
-//! Copies go through `dc_serve::atomic_write` (temp + fsync + rename): a
+//! Copies go through `dc_matrix::atomic::atomic_write` (temp + fsync + rename): a
 //! crashed bench never leaves a torn file in the tree.
 
 use std::path::{Path, PathBuf};
@@ -26,7 +26,7 @@ pub fn publish_to_repo_root(artifact: &Path) -> std::io::Result<PathBuf> {
     })?;
     let bytes = std::fs::read(artifact)?;
     let dest = repo_root().join(name);
-    dc_serve::atomic_write(&dest, &bytes)?;
+    dc_matrix::atomic::atomic_write(&dest, &bytes)?;
     Ok(dest)
 }
 

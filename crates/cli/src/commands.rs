@@ -30,11 +30,12 @@ use dc_floc::{
     floc, floc_parallel, floc_resume_with, floc_with, Constraint, DeltaCluster, FlocConfig,
     GainEngineKind, InterruptFlag, Ordering, ResidueMean, Seeding, StopReason,
 };
+use dc_matrix::atomic::atomic_write;
 use dc_matrix::io::{read_dense_file, read_triples_file, DenseFormat};
 use dc_matrix::DataMatrix;
 use dc_net::RequestHandler;
 use dc_obs::{EventKind, Field, Obs};
-use dc_serve::{atomic_write, PredictError, QueryEngine, ServeModel};
+use dc_serve::{PredictError, QueryEngine, ServeModel};
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
@@ -1333,7 +1334,7 @@ fn generate(args: &Args) -> Result<CmdOutput, CmdError> {
         let matrix = paged_twin(&matrix, path, args)?;
         return finish_generate(args, path, matrix, truth, true);
     }
-    dc_serve::atomic_write_with(Path::new(path), |mut w| {
+    dc_matrix::atomic::atomic_write_with(Path::new(path), |mut w| {
         dc_matrix::io::write_dense(&matrix, &mut w, &DenseFormat::default())
     })
     .map_err(|e| CmdError::Io(e.to_string()))?;

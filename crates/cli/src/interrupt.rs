@@ -1,6 +1,6 @@
 //! SIGINT wiring for interruptible mining.
 //!
-//! A single process-wide `Arc<AtomicBool>` is handed to [`FlocConfig`]
+//! A single process-wide `Arc<AtomicBool>` is handed to [`dc_floc::FlocConfig`]
 //! (via `mine`), and a minimal raw `signal(2)` binding flips it from the
 //! SIGINT handler. The handler does nothing but an atomic store — the only
 //! kind of work that is async-signal-safe — so the mining loop notices the

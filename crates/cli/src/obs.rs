@@ -10,11 +10,11 @@
 //! * `--metrics PATH` — aggregate every event into counts + duration
 //!   histograms and write them as a JSON artifact when the command ends.
 //!
-//! The module also hosts [`CkptSink`], which replaces the old ad-hoc
-//! checkpoint-observer closure: it consumes `floc.checkpoint` events (the
-//! snapshot rides along as the event's attachment) and persists them
-//! through `dc_serve::save_checkpoint`, tracking write latency and
-//! failures without ever aborting the mining run.
+//! The module also hosts [`CkptSink`], the `--checkpoint` writer: it takes
+//! each snapshot from its `floc.checkpoint` event
+//! ([`FlocCheckpoint::from_event`]) and persists it through
+//! `dc_serve::save_checkpoint`, tracking write latency and failures
+//! without ever aborting the mining run.
 
 use crate::args::Args;
 use dc_floc::FlocCheckpoint;
@@ -49,7 +49,7 @@ impl MetricsExport {
     /// Propagates IO failures from the atomic write.
     pub fn write(&self) -> std::io::Result<()> {
         let json = metrics_to_json(&self.sink.snapshot());
-        dc_serve::atomic_write(&self.path, json.as_bytes())
+        dc_matrix::atomic::atomic_write(&self.path, json.as_bytes())
     }
 }
 
@@ -293,13 +293,7 @@ impl CkptSink {
 
 impl Sink for CkptSink {
     fn emit(&self, event: &Event<'_>) {
-        if event.name != "floc.checkpoint" {
-            return;
-        }
-        let Some(snap) = event
-            .attachment
-            .and_then(|a| a.downcast_ref::<FlocCheckpoint>())
-        else {
+        let Some(snap) = FlocCheckpoint::from_event(event) else {
             return;
         };
         if self.delay_ms > 0 {

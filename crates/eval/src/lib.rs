@@ -8,7 +8,7 @@
 //!   truth (the Table 4/5 quality numbers).
 //! * [`matching`] — greedy one-to-one cluster matching for finer-grained
 //!   diagnostics.
-//! * [`diameter`] — the bounding-box diameter statistic of Table 1.
+//! * [`diameter`](mod@diameter) — the bounding-box diameter statistic of Table 1.
 //! * [`report`] — fixed-width text tables and JSON export used by every
 //!   experiment binary.
 

@@ -99,7 +99,7 @@ pub fn write_json<T: Serialize>(
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    dc_serve::atomic_write(&path, json.as_bytes())?;
+    dc_matrix::atomic::atomic_write(&path, json.as_bytes())?;
     Ok(path)
 }
 

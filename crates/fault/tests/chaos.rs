@@ -5,13 +5,11 @@
 //! torn write.
 
 use dc_fault::{FaultyReader, FaultyWriter};
-use dc_floc::{floc_observed, DeltaCluster, FlocCheckpoint, FlocConfig};
+use dc_floc::{floc_with, CheckpointLog, DeltaCluster, FlocCheckpoint, FlocConfig};
+use dc_matrix::atomic::{atomic_write_with, temp_sibling};
 use dc_matrix::io::{read_dense, read_triples, DenseFormat, ParseError};
 use dc_matrix::DataMatrix;
-use dc_serve::{
-    artifact, atomic_write_with, checkpoint_from_bytes, checkpoint_to_bytes, temp_sibling,
-    ArtifactError, ServeModel,
-};
+use dc_serve::{artifact, checkpoint_from_bytes, checkpoint_to_bytes, ArtifactError, ServeModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::Write;
@@ -52,10 +50,9 @@ fn sample_checkpoint() -> FlocCheckpoint {
         }
     }
     let config = FlocConfig::builder(2).alpha(0.5).seed(23).build();
-    let mut snapshots: Vec<FlocCheckpoint> = Vec::new();
-    let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-    floc_observed(&m, &config, Some(&mut obs)).unwrap();
-    snapshots.pop().expect("mining emits at least one snapshot")
+    let log = CheckpointLog::new();
+    floc_with(&m, &config, &dc_obs::Obs::new(log.clone())).unwrap();
+    log.last().expect("mining emits at least one snapshot")
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@
 //! the canonical states at every iteration boundary.
 
 use crate::action::{self, Action, EvaluatedAction, Target};
-use crate::checkpoint::{FlocCheckpoint, ResumeError};
+use crate::checkpoint::{FlocCheckpoint, ResumeError, CHECKPOINT_EVENT};
 use crate::cluster::DeltaCluster;
 use crate::config::FlocConfig;
 use crate::gain_engine::IncrementalEngine;
@@ -37,15 +37,6 @@ use dc_obs::{EventKind, Field, Obs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-
-/// Callback invoked with a snapshot after every completed iteration and at
-/// termination; used by callers to persist checkpoints.
-///
-/// This predates the structured [`dc_obs::Sink`] API and remains as a thin
-/// adapter: [`floc_with`] delivers the same snapshots as `floc.checkpoint`
-/// events whose attachment downcasts to [`FlocCheckpoint`], which is the
-/// preferred surface for new code.
-pub type CheckpointObserver<'a> = &'a mut dyn FnMut(&FlocCheckpoint);
 
 /// Minimum improvement of the average residue for an iteration to count as
 /// progress. Guards against infinite loops driven by floating-point noise.
@@ -227,7 +218,7 @@ fn evaluate_best_actions(
 /// # Errors
 /// Fails if seeding is infeasible or the matrix has no specified entries.
 pub fn floc(matrix: &DataMatrix, config: &FlocConfig) -> Result<FlocResult, FlocError> {
-    floc_inner(matrix, config, None, &Obs::null())
+    floc_with(matrix, config, &Obs::null())
 }
 
 /// Like [`floc`], streaming structured events to `obs` — the single
@@ -239,7 +230,7 @@ pub fn floc(matrix: &DataMatrix, config: &FlocConfig) -> Result<FlocResult, Floc
 ///   maintenance tallies, iteration latency;
 /// - `floc.checkpoint` (point): after every improving iteration and at
 ///   termination, with the resumable [`FlocCheckpoint`] as the event's
-///   attachment (downcast it to persist checkpoints);
+///   attachment ([`FlocCheckpoint::from_event`] recovers it);
 /// - `floc.done` (point): terminal summary including the stop reason.
 ///
 /// Observation never changes the search: emission only *reads* state, so
@@ -251,37 +242,6 @@ pub fn floc(matrix: &DataMatrix, config: &FlocConfig) -> Result<FlocResult, Floc
 pub fn floc_with(
     matrix: &DataMatrix,
     config: &FlocConfig,
-    obs: &Obs,
-) -> Result<FlocResult, FlocError> {
-    floc_inner(matrix, config, None, obs)
-}
-
-/// Like [`floc`], additionally invoking `observer` with a resumable
-/// [`FlocCheckpoint`] after every completed iteration and a final snapshot
-/// at termination (tagged terminal when the run converged or exhausted its
-/// iteration cap).
-///
-/// The observer decides what to do with snapshots — typically persist every
-/// Nth one. Observation never changes the search: with or without an
-/// observer, the same seed yields the same clustering.
-///
-/// Thin adapter over the [`floc_with`] event stream for callers that
-/// predate [`dc_obs`]; new code should prefer a [`dc_obs::Sink`].
-///
-/// # Errors
-/// Fails if seeding is infeasible or the matrix has no specified entries.
-pub fn floc_observed(
-    matrix: &DataMatrix,
-    config: &FlocConfig,
-    observer: Option<CheckpointObserver<'_>>,
-) -> Result<FlocResult, FlocError> {
-    floc_inner(matrix, config, observer, &Obs::null())
-}
-
-fn floc_inner(
-    matrix: &DataMatrix,
-    config: &FlocConfig,
-    observer: Option<CheckpointObserver<'_>>,
     obs: &Obs,
 ) -> Result<FlocResult, FlocError> {
     if matrix.specified_count() == 0 {
@@ -315,20 +275,13 @@ fn floc_inner(
             None,
         );
     }
-    Ok(run_loop(
-        matrix,
-        config,
-        rng,
-        best,
-        0,
-        Vec::new(),
-        observer,
-        obs,
-    ))
+    Ok(run_loop(matrix, config, rng, best, 0, Vec::new(), obs))
 }
 
 /// Continues a checkpointed run on the same matrix, bit-identically: the
 /// final clustering equals what the uninterrupted run would have produced.
+/// Streams the same events as [`floc_with`] to `obs`, plus a `floc.resume`
+/// point event recording where the run picked up.
 ///
 /// `config` must match the checkpoint's on every search-relevant field;
 /// runtime plumbing (threads, time budget, interrupt wiring) may differ —
@@ -339,36 +292,10 @@ fn floc_inner(
 /// # Errors
 /// Fails with [`FlocError::Resume`] when the checkpoint does not belong to
 /// `matrix`/`config` or is internally inconsistent.
-pub fn floc_resume(
-    matrix: &DataMatrix,
-    checkpoint: &FlocCheckpoint,
-    config: &FlocConfig,
-    observer: Option<CheckpointObserver<'_>>,
-) -> Result<FlocResult, FlocError> {
-    resume_inner(matrix, checkpoint, config, observer, &Obs::null())
-}
-
-/// [`floc_resume`] with the structured event stream of [`floc_with`]
-/// instead of the legacy callback; emits an additional `floc.resume` point
-/// event recording where the run picked up.
-///
-/// # Errors
-/// Fails with [`FlocError::Resume`] when the checkpoint does not belong to
-/// `matrix`/`config` or is internally inconsistent.
 pub fn floc_resume_with(
     matrix: &DataMatrix,
     checkpoint: &FlocCheckpoint,
     config: &FlocConfig,
-    obs: &Obs,
-) -> Result<FlocResult, FlocError> {
-    resume_inner(matrix, checkpoint, config, None, obs)
-}
-
-fn resume_inner(
-    matrix: &DataMatrix,
-    checkpoint: &FlocCheckpoint,
-    config: &FlocConfig,
-    observer: Option<CheckpointObserver<'_>>,
     obs: &Obs,
 ) -> Result<FlocResult, FlocError> {
     checkpoint.validate(matrix, config)?;
@@ -409,12 +336,11 @@ fn resume_inner(
         best,
         checkpoint.iterations,
         checkpoint.trace.clone(),
-        observer,
         obs,
     ))
 }
 
-/// Builds the snapshot handed to observers and embedded in results.
+/// Builds the snapshot published as a `floc.checkpoint` event.
 #[allow(clippy::too_many_arguments)]
 fn snapshot(
     matrix: &DataMatrix,
@@ -444,40 +370,29 @@ fn snapshot(
     }
 }
 
-/// Delivers one snapshot to both observation surfaces: the legacy callback
-/// verbatim, and — when structured observation is on — a `floc.checkpoint`
-/// event whose attachment downcasts to [`FlocCheckpoint`].
-fn publish_checkpoint(
-    observer: &mut Option<CheckpointObserver<'_>>,
-    obs: &Obs,
-    snap: &FlocCheckpoint,
-) {
-    if let Some(cb) = observer.as_mut() {
-        cb(snap);
-    }
-    if obs.enabled() {
-        obs.emit_full(
-            EventKind::Point,
-            "floc.checkpoint",
-            &[
-                Field::new("iterations", snap.iterations),
-                Field::new("avg_residue", snap.avg_residue),
-                Field::new("terminal", snap.stop.is_some()),
-            ],
-            Some(snap),
-        );
-    }
+/// Emits one snapshot as a `floc.checkpoint` event whose attachment
+/// [`FlocCheckpoint::from_event`] recovers.
+fn publish_checkpoint(obs: &Obs, snap: &FlocCheckpoint) {
+    obs.emit_full(
+        EventKind::Point,
+        CHECKPOINT_EVENT,
+        &[
+            Field::new("iterations", snap.iterations),
+            Field::new("avg_residue", snap.avg_residue),
+            Field::new("terminal", snap.stop.is_some()),
+        ],
+        Some(snap),
+    );
 }
 
 /// The phase-2 improvement loop, shared by fresh and resumed runs.
 ///
 /// `best` must be *canonical*: every state freshly built via
 /// [`ClusterState::new`] from its descriptor. The loop re-canonicalizes
-/// after each improving iteration so that the state a checkpoint observer
+/// after each improving iteration so that the state a checkpoint sink
 /// sees — and the state a resume rebuilds — is bit-identical to the state
 /// the loop itself continues from. Residues and the incumbent average are
 /// recomputed from the canonical states for the same reason.
-#[allow(clippy::too_many_arguments)]
 fn run_loop(
     matrix: &DataMatrix,
     config: &FlocConfig,
@@ -485,7 +400,6 @@ fn run_loop(
     mut best: Vec<ClusterState>,
     start_iterations: usize,
     mut trace: Vec<IterationTrace>,
-    mut observer: Option<CheckpointObserver<'_>>,
     obs: &Obs,
 ) -> FlocResult {
     let start = Instant::now();
@@ -748,7 +662,7 @@ fn run_loop(
         }
         best_avg = best_residues.iter().sum::<f64>() / config.k as f64;
 
-        if observer.is_some() || obs.enabled() {
+        if obs.enabled() {
             let snap = snapshot(
                 matrix,
                 &mut fingerprint,
@@ -761,11 +675,11 @@ fn run_loop(
                 &trace,
                 None,
             );
-            publish_checkpoint(&mut observer, obs, &snap);
+            publish_checkpoint(obs, &snap);
         }
     }
 
-    if observer.is_some() || obs.enabled() {
+    if obs.enabled() {
         // Terminal snapshot. Converged / capped runs are marked done;
         // budget and interrupt stops stay resumable.
         let stop = match stop_reason {
@@ -784,7 +698,7 @@ fn run_loop(
             &trace,
             stop,
         );
-        publish_checkpoint(&mut observer, obs, &snap);
+        publish_checkpoint(obs, &snap);
     }
 
     if obs.enabled() {
@@ -821,6 +735,7 @@ fn run_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointLog;
     use crate::constraints::Constraint;
     use crate::ordering::Ordering;
     use crate::residue::{cluster_residue, ResidueMean};
@@ -1070,14 +985,20 @@ mod tests {
         assert_eq!(r.iterations, 0);
     }
 
+    /// Runs FLOC under a [`CheckpointLog`], returning the result and every
+    /// published snapshot.
+    fn floc_logged(m: &DataMatrix, config: &FlocConfig) -> (FlocResult, Vec<FlocCheckpoint>) {
+        let log = CheckpointLog::new();
+        let result = floc_with(m, config, &Obs::new(log.clone())).unwrap();
+        (result, log.snapshots())
+    }
+
     #[test]
     fn observer_does_not_change_the_result() {
         let m = planted(25, 12, 8, 5, 23);
         let config = FlocConfig::builder(2).seed(9).build();
         let plain = floc(&m, &config).unwrap();
-        let mut snapshots: Vec<crate::checkpoint::FlocCheckpoint> = Vec::new();
-        let mut obs = |c: &crate::checkpoint::FlocCheckpoint| snapshots.push(c.clone());
-        let observed = floc_observed(&m, &config, Some(&mut obs)).unwrap();
+        let (observed, snapshots) = floc_logged(&m, &config);
         assert_eq!(plain.clusters, observed.clusters);
         assert_eq!(plain.residues, observed.residues);
         assert_eq!(plain.iterations, observed.iterations);
@@ -1093,15 +1014,13 @@ mod tests {
     fn resume_from_any_iteration_matches_uninterrupted() {
         let m = planted(30, 15, 10, 6, 41);
         let config = FlocConfig::builder(2).seed(13).build();
-        let mut snapshots: Vec<crate::checkpoint::FlocCheckpoint> = Vec::new();
-        let mut obs = |c: &crate::checkpoint::FlocCheckpoint| snapshots.push(c.clone());
-        let reference = floc_observed(&m, &config, Some(&mut obs)).unwrap();
+        let (reference, snapshots) = floc_logged(&m, &config);
         assert!(
             snapshots.len() >= 2,
             "need at least one intermediate snapshot"
         );
         for ckpt in &snapshots {
-            let resumed = floc_resume(&m, ckpt, &config, None).unwrap();
+            let resumed = floc_resume_with(&m, ckpt, &config, &Obs::null()).unwrap();
             assert_eq!(
                 resumed.clusters, reference.clusters,
                 "at iter {}",
@@ -1119,28 +1038,39 @@ mod tests {
     fn interrupted_run_resumes_to_the_uninterrupted_result() {
         use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
         use std::sync::Arc;
+
+        /// Raises the interrupt flag on every checkpoint event.
+        struct InterruptOnCheckpoint(Arc<AtomicBool>);
+        impl dc_obs::Sink for InterruptOnCheckpoint {
+            fn emit(&self, event: &dc_obs::Event<'_>) {
+                if FlocCheckpoint::from_event(event).is_some() {
+                    self.0.store(true, AtomicOrdering::SeqCst);
+                }
+            }
+        }
+
         let m = planted(30, 15, 10, 6, 41);
         let base = FlocConfig::builder(2).seed(13).build();
         let reference = floc(&m, &base).unwrap();
         assert!(reference.iterations >= 2, "need a multi-iteration run");
 
         // Interrupt after the first completed iteration (raised from the
-        // observer — fully deterministic, unlike a timer).
+        // checkpoint event — fully deterministic, unlike a timer).
         let flag = Arc::new(AtomicBool::new(false));
         let mut interruptible = base.clone();
         interruptible.interrupt = crate::config::InterruptFlag::new(Arc::clone(&flag));
-        let mut last: Option<crate::checkpoint::FlocCheckpoint> = None;
-        let mut obs = |c: &crate::checkpoint::FlocCheckpoint| {
-            flag.store(true, AtomicOrdering::SeqCst);
-            last = Some(c.clone());
-        };
-        let partial = floc_observed(&m, &interruptible, Some(&mut obs)).unwrap();
+        let log = CheckpointLog::new();
+        let obs = Obs::fanout(vec![
+            Box::new(InterruptOnCheckpoint(flag)),
+            Box::new(log.clone()),
+        ]);
+        let partial = floc_with(&m, &interruptible, &obs).unwrap();
         assert_eq!(partial.stop_reason, crate::history::StopReason::Interrupted);
         assert!(partial.iterations < reference.iterations);
 
-        let ckpt = last.unwrap();
+        let ckpt = log.last().unwrap();
         assert_eq!(ckpt.stop, None, "interrupt checkpoints stay resumable");
-        let resumed = floc_resume(&m, &ckpt, &base, None).unwrap();
+        let resumed = floc_resume_with(&m, &ckpt, &base, &Obs::null()).unwrap();
         assert_eq!(resumed.clusters, reference.clusters);
         assert_eq!(resumed.residues, reference.residues);
         assert_eq!(resumed.avg_residue, reference.avg_residue);
@@ -1159,14 +1089,12 @@ mod tests {
 
         let mut budgeted = base.clone();
         budgeted.time_budget = Some(std::time::Duration::from_micros(500));
-        let mut last: Option<crate::checkpoint::FlocCheckpoint> = None;
-        let mut obs = |c: &crate::checkpoint::FlocCheckpoint| last = Some(c.clone());
-        let partial = floc_observed(&m, &budgeted, Some(&mut obs)).unwrap();
-        let ckpt = last.unwrap();
+        let (partial, snapshots) = floc_logged(&m, &budgeted);
+        let ckpt = snapshots.last().unwrap();
         if partial.stop_reason == crate::history::StopReason::Budget {
             assert_eq!(ckpt.stop, None, "budget checkpoints stay resumable");
         }
-        let resumed = floc_resume(&m, &ckpt, &base, None).unwrap();
+        let resumed = floc_resume_with(&m, ckpt, &base, &Obs::null()).unwrap();
         assert_eq!(resumed.clusters, reference.clusters);
         assert_eq!(resumed.avg_residue, reference.avg_residue);
         assert_eq!(resumed.iterations, reference.iterations);
@@ -1176,12 +1104,10 @@ mod tests {
     fn resuming_a_terminal_checkpoint_returns_immediately() {
         let m = planted(25, 12, 8, 5, 3);
         let config = FlocConfig::builder(2).seed(17).build();
-        let mut last: Option<crate::checkpoint::FlocCheckpoint> = None;
-        let mut obs = |c: &crate::checkpoint::FlocCheckpoint| last = Some(c.clone());
-        let reference = floc_observed(&m, &config, Some(&mut obs)).unwrap();
-        let terminal = last.unwrap();
+        let (reference, snapshots) = floc_logged(&m, &config);
+        let terminal = snapshots.last().unwrap();
         assert_eq!(terminal.stop, Some(reference.stop_reason));
-        let resumed = floc_resume(&m, &terminal, &config, None).unwrap();
+        let resumed = floc_resume_with(&m, terminal, &config, &Obs::null()).unwrap();
         assert_eq!(resumed.clusters, reference.clusters);
         assert_eq!(resumed.iterations, reference.iterations);
         assert_eq!(resumed.stop_reason, reference.stop_reason);
@@ -1191,20 +1117,18 @@ mod tests {
     fn resume_rejects_a_different_matrix_or_config() {
         let m = planted(25, 12, 8, 5, 3);
         let config = FlocConfig::builder(2).seed(17).build();
-        let mut last: Option<crate::checkpoint::FlocCheckpoint> = None;
-        let mut obs = |c: &crate::checkpoint::FlocCheckpoint| last = Some(c.clone());
-        let _ = floc_observed(&m, &config, Some(&mut obs)).unwrap();
-        let ckpt = last.unwrap();
+        let (_, snapshots) = floc_logged(&m, &config);
+        let ckpt = snapshots.last().unwrap();
 
         let other = planted(25, 12, 8, 5, 4);
-        let err = floc_resume(&other, &ckpt, &config, None).unwrap_err();
+        let err = floc_resume_with(&other, ckpt, &config, &Obs::null()).unwrap_err();
         assert!(matches!(
             err,
             FlocError::Resume(ResumeError::MatrixMismatch { .. })
         ));
 
         let other_cfg = FlocConfig::builder(2).seed(18).build();
-        let err = floc_resume(&m, &ckpt, &other_cfg, None).unwrap_err();
+        let err = floc_resume_with(&m, ckpt, &other_cfg, &Obs::null()).unwrap_err();
         assert!(matches!(
             err,
             FlocError::Resume(ResumeError::ConfigMismatch { field: "seed" })

@@ -2,10 +2,12 @@
 //!
 //! A [`FlocCheckpoint`] captures everything phase 2 needs to continue a run
 //! bit-identically: the configuration, the incumbent best clustering, the
-//! iteration counter, the RNG state, and the trace so far. The driver emits
-//! one to its observer after every completed iteration (see
-//! [`crate::algorithm::floc_observed`]); persistence (the `.dck` artifact)
-//! lives in dc-serve so this crate stays IO-free.
+//! iteration counter, the RNG state, and the trace so far. The driver
+//! publishes one after every improving iteration and at termination as the
+//! attachment of a `floc.checkpoint` event on the [`crate::floc_with`]
+//! stream. [`FlocCheckpoint::from_event`] is the one place that recovers it;
+//! [`CheckpointLog`] is a sink that keeps them all. Persistence (the `.dck`
+//! artifact) lives in dc-serve so this crate stays IO-free.
 //!
 //! Bit-identical resume relies on the driver keeping its in-memory cluster
 //! statistics *canonical* at every safe boundary: after each improving
@@ -18,7 +20,12 @@ use crate::cluster::DeltaCluster;
 use crate::config::FlocConfig;
 use crate::history::{IterationTrace, StopReason};
 use dc_matrix::DataMatrix;
+use dc_obs::{Event, Sink};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Name of the event whose attachment is a [`FlocCheckpoint`].
+pub(crate) const CHECKPOINT_EVENT: &str = "floc.checkpoint";
 
 /// A complete snapshot of a FLOC run at an iteration boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,6 +157,15 @@ pub(crate) fn search_config_mismatch(a: &FlocConfig, b: &FlocConfig) -> Option<&
 }
 
 impl FlocCheckpoint {
+    /// The snapshot a `floc.checkpoint` event carries; `None` for any other
+    /// event, or one whose attachment is missing or not a checkpoint.
+    pub fn from_event<'a>(event: &Event<'a>) -> Option<&'a FlocCheckpoint> {
+        if event.name != CHECKPOINT_EVENT {
+            return None;
+        }
+        event.attachment?.downcast_ref::<FlocCheckpoint>()
+    }
+
     /// Checks that this checkpoint can continue on `matrix` under `config`.
     ///
     /// # Errors
@@ -223,7 +239,7 @@ impl FlocCheckpoint {
     /// clusters and the RNG state (the search identity carries across the
     /// data change), and resets the iteration counter, the trace, and any
     /// terminal stop so a bounded refinement round can run from here via
-    /// [`crate::floc_resume`].
+    /// [`crate::floc_resume_with`].
     ///
     /// Deterministic: two processes that rebase the same checkpoint on the
     /// same matrix produce identical checkpoints — the property the
@@ -275,10 +291,47 @@ impl FlocCheckpoint {
     }
 }
 
+/// A [`Sink`] keeping every checkpoint a FLOC run publishes, in order.
+/// Clones share one log, so hand a clone to [`dc_obs::Obs::new`] and read
+/// the original after the run.
+#[derive(Debug, Clone, Default)]
+pub struct CheckpointLog(Arc<Mutex<Vec<FlocCheckpoint>>>);
+
+impl CheckpointLog {
+    pub fn new() -> CheckpointLog {
+        CheckpointLog::default()
+    }
+
+    /// Every snapshot seen so far, oldest first.
+    pub fn snapshots(&self) -> Vec<FlocCheckpoint> {
+        self.lock().clone()
+    }
+
+    /// The most recent snapshot — after a run, its terminal one.
+    pub fn last(&self) -> Option<FlocCheckpoint> {
+        self.lock().last().cloned()
+    }
+
+    // A push cannot leave the vector half-updated, so a poisoned lock
+    // still guards a valid log.
+    fn lock(&self) -> MutexGuard<'_, Vec<FlocCheckpoint>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl Sink for CheckpointLog {
+    fn emit(&self, event: &Event<'_>) {
+        if let Some(snap) = FlocCheckpoint::from_event(event) {
+            self.lock().push(snap.clone());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::StopReason;
+    use dc_obs::{EventKind, Field, Obs};
 
     fn sample_matrix() -> DataMatrix {
         DataMatrix::builder(3, 3).from_rows((0..9).map(|x| x as f64).collect())
@@ -425,5 +478,30 @@ mod tests {
         let json = serde_json::to_string(&ckpt).unwrap();
         let back: FlocCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ckpt);
+    }
+
+    #[test]
+    fn checkpoint_log_keeps_only_checkpoint_attachments_in_order() {
+        let m = sample_matrix();
+        let first = sample_checkpoint(&m);
+        let mut second = sample_checkpoint(&m);
+        second.iterations = 3;
+        second.stop = Some(StopReason::Converged);
+
+        let log = CheckpointLog::new();
+        let obs = Obs::new(log.clone());
+        let fields = [Field::new("iterations", 2u64)];
+        obs.emit_full(EventKind::Point, CHECKPOINT_EVENT, &fields, Some(&first));
+        // Another event name, even with a checkpoint attached.
+        obs.emit_full(EventKind::Point, "floc.iteration", &fields, Some(&first));
+        // A checkpoint event without an attachment.
+        obs.emit_full(EventKind::Point, CHECKPOINT_EVENT, &fields, None);
+        // A checkpoint event carrying something else.
+        obs.emit_full(EventKind::Point, CHECKPOINT_EVENT, &fields, Some(&7u64));
+        obs.emit_full(EventKind::Point, CHECKPOINT_EVENT, &fields, Some(&second));
+
+        assert_eq!(log.snapshots(), vec![first, second.clone()]);
+        assert_eq!(log.last(), Some(second));
+        assert_eq!(CheckpointLog::new().last(), None);
     }
 }

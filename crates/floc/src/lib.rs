@@ -69,13 +69,11 @@ pub mod seeding;
 pub mod stats;
 
 pub use action::{Action, Target};
-pub use algorithm::{
-    floc, floc_observed, floc_resume, floc_resume_with, floc_with, CheckpointObserver, FlocError,
-};
+pub use algorithm::{floc, floc_resume_with, floc_with, FlocError};
 pub use amplification::{
     amplification_residue, floc_amplification, AmplificationError, AmplificationResult,
 };
-pub use checkpoint::{FlocCheckpoint, ResumeError};
+pub use checkpoint::{CheckpointLog, FlocCheckpoint, ResumeError};
 pub use cluster::DeltaCluster;
 pub use config::{FlocConfig, FlocConfigBuilder, InterruptFlag, Parallelism};
 pub use constraints::Constraint;

@@ -187,7 +187,24 @@ proptest! {
 
 // ---- Checkpoint / resume -------------------------------------------------
 
-use dc_floc::{floc_observed, floc_resume, FlocCheckpoint, FlocConfig, GainEngineKind};
+use dc_floc::{
+    floc_resume_with, floc_with, CheckpointLog, FlocCheckpoint, FlocConfig, FlocResult,
+    GainEngineKind,
+};
+use dc_obs::Obs;
+
+/// Runs FLOC under a [`CheckpointLog`], returning the result and every
+/// published snapshot.
+fn floc_logged(m: &DataMatrix, config: &FlocConfig) -> (FlocResult, Vec<FlocCheckpoint>) {
+    let log = CheckpointLog::new();
+    let result = floc_with(m, config, &Obs::new(log.clone())).unwrap();
+    (result, log.snapshots())
+}
+
+/// Resumes `ckpt` without observation.
+fn resume(m: &DataMatrix, ckpt: &FlocCheckpoint, config: &FlocConfig) -> FlocResult {
+    floc_resume_with(m, ckpt, config, &Obs::null()).unwrap()
+}
 
 /// A denser random matrix suitable for actually running FLOC end to end
 /// (the residue machinery needs enough specified cells to make progress).
@@ -212,15 +229,13 @@ proptest! {
         k in 2usize..4,
     ) {
         let config = FlocConfig::builder(k).alpha(0.5).seed(seed).build();
-        let mut snapshots: Vec<FlocCheckpoint> = Vec::new();
-        let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-        let full = floc_observed(&m, &config, Some(&mut obs)).unwrap();
+        let (full, snapshots) = floc_logged(&m, &config);
         prop_assert!(!snapshots.is_empty());
 
         // Every non-terminal snapshot must resume to the identical result;
         // the terminal one must short-circuit to the same answer too.
         for ckpt in &snapshots {
-            let resumed = floc_resume(&m, ckpt, &config, None).unwrap();
+            let resumed = resume(&m, ckpt, &config);
             prop_assert_eq!(&resumed.clusters, &full.clusters);
             prop_assert_eq!(&resumed.residues, &full.residues);
             prop_assert_eq!(resumed.avg_residue, full.avg_residue);
@@ -238,9 +253,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let config = FlocConfig::builder(2).alpha(0.5).seed(seed).build();
-        let mut snapshots: Vec<FlocCheckpoint> = Vec::new();
-        let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-        floc_observed(&m, &config, Some(&mut obs)).unwrap();
+        let (_, snapshots) = floc_logged(&m, &config);
         for ckpt in &snapshots {
             let json = serde_json::to_string(ckpt).unwrap();
             let back: FlocCheckpoint = serde_json::from_str(&json).unwrap();
@@ -325,11 +338,9 @@ proptest! {
             .seed(seed)
             .gain_engine(GainEngineKind::Incremental)
             .build();
-        let mut snapshots: Vec<FlocCheckpoint> = Vec::new();
-        let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-        let full = floc_observed(&m, &config, Some(&mut obs)).unwrap();
+        let (full, snapshots) = floc_logged(&m, &config);
         for ckpt in &snapshots {
-            let resumed = floc_resume(&m, ckpt, &config, None).unwrap();
+            let resumed = resume(&m, ckpt, &config);
             prop_assert_eq!(&resumed.clusters, &full.clusters);
             prop_assert_eq!(&resumed.residues, &full.residues);
             prop_assert_eq!(resumed.avg_residue, full.avg_residue);
@@ -340,28 +351,7 @@ proptest! {
 
 // ---- Observability ---------------------------------------------------------
 
-use dc_floc::{floc_resume_with, floc_with};
-use dc_obs::{Event, JsonSink, MemorySink, NullSink, Obs, Sink};
-use std::sync::{Arc, Mutex};
-
-/// Collects every `floc.checkpoint` attachment — the dc-obs analogue of
-/// the legacy `floc_observed` closure.
-#[derive(Clone, Default)]
-struct CkptCollector(Arc<Mutex<Vec<FlocCheckpoint>>>);
-
-impl Sink for CkptCollector {
-    fn emit(&self, event: &Event<'_>) {
-        if event.name != "floc.checkpoint" {
-            return;
-        }
-        if let Some(c) = event
-            .attachment
-            .and_then(|a| a.downcast_ref::<FlocCheckpoint>())
-        {
-            self.0.lock().unwrap().push(c.clone());
-        }
-    }
-}
+use dc_obs::{JsonSink, MemorySink, NullSink};
 
 fn f64_bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -400,24 +390,26 @@ proptest! {
         prop_assert_eq!(memory.named("floc.done").len(), 1);
     }
 
-    /// The checkpoint stream exposed through event attachments matches the
-    /// legacy closure observer snapshot for snapshot, and resuming any of
-    /// those snapshots under yet another sink stays bit-identical.
+    /// A checkpoint log sees the same snapshot sequence alone as inside a
+    /// fanout with other sinks, and resuming any of those snapshots under
+    /// yet another sink stays bit-identical.
     #[test]
-    fn sink_checkpoints_match_closure_observer_and_resume_bit_identically(
+    fn sink_checkpoints_resume_bit_identically(
         m in arb_mining_matrix(),
         seed in 0u64..1_000_000,
     ) {
         let config = FlocConfig::builder(2).alpha(0.5).seed(seed).build();
-        let mut closure_seen: Vec<FlocCheckpoint> = Vec::new();
-        let mut obs_fn = |c: &FlocCheckpoint| closure_seen.push(c.clone());
-        let full = floc_observed(&m, &config, Some(&mut obs_fn)).unwrap();
+        let (full, sink_seen) = floc_logged(&m, &config);
 
-        let collector = CkptCollector::default();
-        let sunk = floc_with(&m, &config, &Obs::new(collector.clone())).unwrap();
-        let sink_seen = collector.0.lock().unwrap().clone();
-        prop_assert_eq!(&sink_seen, &closure_seen);
-        prop_assert_eq!(&sunk.clusters, &full.clusters);
+        let fanned = CheckpointLog::new();
+        let obs = Obs::fanout(vec![
+            Box::new(fanned.clone()),
+            Box::new(JsonSink::new(std::io::sink())),
+            Box::new(MemorySink::new()),
+        ]);
+        let fanned_run = floc_with(&m, &config, &obs).unwrap();
+        prop_assert_eq!(&fanned.snapshots(), &sink_seen);
+        prop_assert_eq!(&fanned_run.clusters, &full.clusters);
         // The fingerprint is computed lazily at the first snapshot; the
         // terminal one must still carry the matrix's own.
         let terminal = sink_seen.last().expect("a terminal snapshot");
@@ -489,14 +481,12 @@ proptest! {
                 .gain_engine(engine)
                 .threads(1)
                 .build();
-            let mut snapshots: Vec<FlocCheckpoint> = Vec::new();
-            let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-            let full = floc_observed(&m, &base, Some(&mut obs)).unwrap();
+            let (full, snapshots) = floc_logged(&m, &base);
             for ckpt in &snapshots {
                 for threads in [2usize, 4, 8] {
                     let mut cfg = base.clone();
                     cfg.parallelism = Parallelism::new(threads, 1);
-                    let resumed = floc_resume(&m, ckpt, &cfg, None).unwrap();
+                    let resumed = resume(&m, ckpt, &cfg);
                     prop_assert_eq!(&resumed.clusters, &full.clusters, "{:?} x{}", engine, threads);
                     prop_assert_eq!(f64_bits(&resumed.residues), f64_bits(&full.residues));
                     prop_assert_eq!(resumed.avg_residue.to_bits(), full.avg_residue.to_bits());
@@ -593,9 +583,7 @@ proptest! {
                 .seed(seed)
                 .gain_engine(engine)
                 .build();
-            let mut snapshots: Vec<FlocCheckpoint> = Vec::new();
-            let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-            let full = floc_observed(&m, &config, Some(&mut obs)).unwrap();
+            let (full, snapshots) = floc_logged(&m, &config);
 
             for chunk_rows in [1usize, 7, 64] {
                 for cache_blocks in [Some(1), Some(4), None] {
@@ -603,7 +591,7 @@ proptest! {
                     let paged = paged_twin_with(&m, &tag, chunk_rows, cache_blocks);
                     prop_assert_eq!(paged.fingerprint(), m.fingerprint());
 
-                    let run = floc_observed(&paged, &config, None).unwrap();
+                    let run = dc_floc::floc(&paged, &config).unwrap();
                     prop_assert_eq!(
                         &run.clusters, &full.clusters,
                         "chunk={} cache={:?} engine={:?}", chunk_rows, cache_blocks, engine
@@ -617,7 +605,7 @@ proptest! {
                     // against the PAGED matrix: the trajectory must splice
                     // seamlessly — checkpoints are backend-agnostic.
                     let ckpt = &snapshots[snapshots.len() / 2];
-                    let resumed = floc_resume(&paged, ckpt, &config, None).unwrap();
+                    let resumed = resume(&paged, ckpt, &config);
                     prop_assert_eq!(&resumed.clusters, &full.clusters);
                     prop_assert_eq!(f64_bits(&resumed.residues), f64_bits(&full.residues));
                     prop_assert_eq!(&resumed.trace, &full.trace);

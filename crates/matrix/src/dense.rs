@@ -7,7 +7,7 @@
 //! (the hot path of residue computation) touch contiguous memory. The backing
 //! scalar is selectable ([`ValueStorage`]): `f64` by default, or `f32` to
 //! halve memory traffic at mining scale — accumulation always happens in
-//! `f64` (see [`crate::kernels`]), so both storages drive the same search.
+//! `f64` (see the `kernels` module), so both storages drive the same search.
 
 use crate::bitset::BitSet;
 use crate::kernels;

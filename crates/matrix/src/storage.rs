@@ -22,7 +22,7 @@
 //! for any chunk size and any cache cap. Row operations read one contiguous
 //! row inside one chunk — trivially identical. Column reductions walk chunks
 //! in ascending row order and **carry the running accumulator into each
-//! chunk's kernel call** ([`crate::kernels::masked_sum_count_from`]): every
+//! chunk's kernel call** (`kernels::masked_sum_count_from`): every
 //! kernel folds selected lanes in ascending index order, so the chunked walk
 //! reproduces the exact sequence of f64 additions of the single in-memory
 //! pass. Summing per-chunk partials and combining them afterwards would

@@ -72,19 +72,6 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Rebuilds a histogram from persisted parts (the serve stats format
-    /// stores raw buckets plus the exact total). Bucket vectors of the
-    /// wrong length are padded/truncated to [`HISTOGRAM_BUCKETS`].
-    pub fn from_parts(mut buckets: Vec<u64>, total: u64) -> Histogram {
-        buckets.resize(HISTOGRAM_BUCKETS, 0);
-        let count = buckets.iter().sum();
-        Histogram {
-            buckets,
-            count,
-            total,
-        }
-    }
-
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.buckets[bucket_of(value)] += 1;
@@ -410,20 +397,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.total(), u64::MAX);
         assert_eq!(a.mean(), u64::MAX / 2);
-    }
-
-    #[test]
-    fn histogram_merge_and_round_trip_through_parts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(20);
-        b.record(40);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.total(), 70);
-        let back = Histogram::from_parts(a.buckets().to_vec(), a.total());
-        assert_eq!(back, a);
     }
 
     #[test]

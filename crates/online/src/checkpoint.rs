@@ -1,7 +1,7 @@
 //! The `DCO1` miner checkpoint: everything the online miner needs to
 //! resume bit-identically after a kill at any instruction.
 //!
-//! ## Binary layout (version 1, the shared envelope of `dc_serve::framing`)
+//! ## Binary layout (version 1, the shared envelope of `dc_matrix::framing`)
 //!
 //! ```text
 //! offset 0   magic  b"DCO1"
@@ -29,7 +29,7 @@
 //! forward (rewrites the model from the embedded mining state if the
 //! `.dcm` is missing or torn) instead of redoing or losing it.
 //!
-//! Saving goes through `dc_serve`'s `atomic_write`, so the previous
+//! Saving goes through `dc_matrix::atomic::atomic_write`, so the previous
 //! generation is never damaged by a kill mid-save, and every generation
 //! gets its own file — the newest valid one wins at recovery, older ones
 //! are the fallback when the newest was corrupted by the environment.
@@ -37,8 +37,9 @@
 use crate::source::SourceSpec;
 use crate::OnlineError;
 use dc_floc::FlocCheckpoint;
-use dc_serve::framing::{ArtifactError, Reader, Writer};
-use dc_serve::{atomic_write, checkpoint_from_bytes, checkpoint_to_bytes};
+use dc_matrix::atomic::atomic_write;
+use dc_matrix::framing::{Reader, Writer};
+use dc_serve::{checkpoint_from_bytes, checkpoint_to_bytes, ArtifactError};
 use std::path::{Path, PathBuf};
 
 /// File magic: "delta-cluster online", format generation 1.
@@ -219,7 +220,8 @@ mod tests {
     use super::*;
     use dc_datagen::stream::replay;
     use dc_datagen::StreamConfig;
-    use dc_floc::{floc_observed, FlocConfig};
+    use dc_floc::{floc_with, CheckpointLog, FlocConfig};
+    use dc_obs::Obs;
 
     fn stream() -> StreamConfig {
         StreamConfig {
@@ -238,9 +240,8 @@ mod tests {
         let config = stream();
         let matrix = replay(&config, 300);
         let floc_config = FlocConfig::builder(2).alpha(0.5).seed(9).build();
-        let mut snapshots = Vec::new();
-        let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-        let _ = floc_observed(&matrix, &floc_config, Some(&mut obs)).unwrap();
+        let log = CheckpointLog::new();
+        floc_with(&matrix, &floc_config, &Obs::new(log.clone())).unwrap();
         MinerCheckpoint {
             gen: 17,
             cursor: 300,
@@ -248,7 +249,7 @@ mod tests {
             at_promotion: true,
             promoted_avg_residue: 0.625,
             source: SourceSpec::generated(config),
-            floc: snapshots.pop().unwrap(),
+            floc: log.last().unwrap(),
         }
     }
 

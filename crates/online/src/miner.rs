@@ -38,7 +38,8 @@ use crate::OnlineError;
 use dc_datagen::stream::{RatingEvent, RatingOp};
 use dc_fault::chaos::safepoint;
 use dc_floc::{
-    ClusterState, FlocCheckpoint, FlocConfig, IncrementalEngine, InterruptFlag, StopReason,
+    CheckpointLog, ClusterState, FlocCheckpoint, FlocConfig, IncrementalEngine, InterruptFlag,
+    StopReason,
 };
 use dc_matrix::DataMatrix;
 use dc_obs::{Field, Obs};
@@ -301,14 +302,13 @@ impl Miner {
                 e.apply(&mut matrix);
             }
             cursor = end;
-            let mut last: Option<FlocCheckpoint> = None;
-            let mut capture = |c: &FlocCheckpoint| last = Some(c.clone());
-            match dc_floc::floc_observed(&matrix, &cfg, Some(&mut capture)) {
+            let log = CheckpointLog::new();
+            match dc_floc::floc_with(&matrix, &cfg, &Obs::new(log.clone())) {
                 Ok(result) => {
                     if result.stop_reason == StopReason::Interrupted {
                         return Err(OnlineError::Interrupted);
                     }
-                    break last.expect("a finished run emits a final snapshot");
+                    break log.last().expect("a finished run emits a final snapshot");
                 }
                 Err(dc_floc::FlocError::EmptyMatrix) | Err(dc_floc::FlocError::Seed(_)) => {
                     continue; // not enough data yet; ingest more
@@ -414,16 +414,16 @@ impl Miner {
             let mut cfg = rebased.config.clone();
             cfg.interrupt = InterruptFlag::new(self.interrupt.clone());
             cfg.time_budget = self.config.refine_budget;
-            let mut last: Option<FlocCheckpoint> = None;
-            let mut capture = |c: &FlocCheckpoint| last = Some(c.clone());
-            let result = dc_floc::floc_resume(&self.matrix, &rebased, &cfg, Some(&mut capture))?;
+            let log = CheckpointLog::new();
+            let result =
+                dc_floc::floc_resume_with(&self.matrix, &rebased, &cfg, &Obs::new(log.clone()))?;
             if result.stop_reason == StopReason::Interrupted {
                 // Discard the round: nothing was persisted this step, so a
                 // restart replays the batch bit-identically.
                 return Ok(StepOutcome::Interrupted);
             }
             self.refinements += 1;
-            self.floc = last.expect("a finished round emits a final snapshot");
+            self.floc = log.last().expect("a finished round emits a final snapshot");
             self.rebuild_incremental();
         } else {
             self.floc = rebased;

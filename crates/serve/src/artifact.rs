@@ -45,15 +45,15 @@
 //! A flipped byte anywhere surfaces as [`ArtifactError::ChecksumMismatch`]
 //! before any parsing happens — corruption can not panic the loader.
 
-use crate::framing::{Reader, Writer};
 use crate::model::ServeModel;
 use dc_floc::residue::Bases;
 use dc_floc::DeltaCluster;
+use dc_matrix::framing::{Reader, Writer};
 use dc_matrix::{DataMatrix, ValueStorage};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-pub use crate::framing::{crc32, ArtifactError};
+pub use crate::framing::ArtifactError;
 
 /// File magic: "delta-cluster model", format generation 1.
 pub const MAGIC: [u8; 4] = *b"DCM1";
@@ -405,9 +405,9 @@ pub fn save(model: &ServeModel, path: impl AsRef<Path>) -> Result<(), ArtifactEr
     // Write-temp-fsync-rename: a crash mid-save can never corrupt or
     // truncate an existing model at `path`.
     if is_json_path(path) {
-        crate::atomic::atomic_write(path, to_json(model).as_bytes())?;
+        dc_matrix::atomic::atomic_write(path, to_json(model).as_bytes())?;
     } else {
-        crate::atomic::atomic_write(path, &to_bytes(model))?;
+        dc_matrix::atomic::atomic_write(path, &to_bytes(model))?;
     }
     Ok(())
 }
@@ -422,7 +422,7 @@ pub fn save_paged_ref(model: &ServeModel, path: impl AsRef<Path>) -> Result<(), 
             "paged-ref artifacts are binary-only; use a .dcm path".into(),
         ));
     }
-    crate::atomic::atomic_write(path, &to_bytes_paged_ref(model)?)?;
+    dc_matrix::atomic::atomic_write(path, &to_bytes_paged_ref(model)?)?;
     Ok(())
 }
 
@@ -442,6 +442,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<ServeModel, ArtifactError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_matrix::framing::crc32;
 
     fn sample_model(with_labels: bool) -> ServeModel {
         let mut m = DataMatrix::builder(4, 3).build();
@@ -776,12 +777,5 @@ mod tests {
         save(&model, &json).unwrap();
         assert!(std::fs::read_to_string(&json).unwrap().starts_with('{'));
         assert!(load(&json).unwrap() == model);
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF43926);
-        assert_eq!(crc32(b""), 0);
     }
 }

@@ -29,15 +29,16 @@
 //!    `f64` best-prefix average, `u64` best-prefix length, `u64` actions
 //!    performed, `u8` improved flag.
 //!
-//! Saving goes through [`crate::atomic::atomic_write`], so an interrupted
+//! Saving goes through [`dc_matrix::atomic::atomic_write`], so an interrupted
 //! save never damages the previous checkpoint — the property that makes
 //! `mine --checkpoint` crash-safe at every iteration boundary.
 
-use crate::atomic::atomic_write;
-use crate::framing::{ArtifactError, Reader, Writer};
+use crate::framing::ArtifactError;
 use dc_floc::checkpoint::FlocCheckpoint;
 use dc_floc::history::{IterationTrace, StopReason};
 use dc_floc::{DeltaCluster, FlocConfig};
+use dc_matrix::atomic::atomic_write;
+use dc_matrix::framing::{Reader, Writer};
 use std::path::Path;
 
 /// File magic: "delta-cluster checkpoint", format generation 1.
@@ -238,8 +239,9 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<FlocCheckpoint, Artifac
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_floc::{floc_observed, FlocConfig};
+    use dc_floc::{floc_resume_with, floc_with, CheckpointLog, FlocConfig};
     use dc_matrix::DataMatrix;
+    use dc_obs::Obs;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -254,10 +256,9 @@ mod tests {
             }
         }
         let config = FlocConfig::builder(2).alpha(0.5).seed(seed).build();
-        let mut snapshots = Vec::new();
-        let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-        let _ = floc_observed(&m, &config, Some(&mut obs)).unwrap();
-        (m, config, snapshots)
+        let log = CheckpointLog::new();
+        floc_with(&m, &config, &Obs::new(log.clone())).unwrap();
+        (m, config, log.snapshots())
     }
 
     #[test]
@@ -338,9 +339,9 @@ mod tests {
             }
         }
         let config = FlocConfig::builder(2).alpha(0.5).seed(21).build();
-        let mut snapshots = Vec::new();
-        let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-        let full = floc_observed(&m, &config, Some(&mut obs)).unwrap();
+        let log = CheckpointLog::new();
+        let full = floc_with(&m, &config, &Obs::new(log.clone())).unwrap();
+        let snapshots = log.snapshots();
         assert!(!snapshots.is_empty());
 
         let twin = m.with_storage(dc_matrix::ValueStorage::F64).unwrap();
@@ -349,7 +350,7 @@ mod tests {
             assert_eq!(&decoded, ckpt);
             decoded.validate(&m, &config).unwrap();
             decoded.validate(&twin, &config).unwrap();
-            let resumed = dc_floc::floc_resume(&m, &decoded, &config, None).unwrap();
+            let resumed = floc_resume_with(&m, &decoded, &config, &Obs::null()).unwrap();
             assert_eq!(resumed.clusters, full.clusters);
             assert_eq!(resumed.avg_residue.to_bits(), full.avg_residue.to_bits());
         }

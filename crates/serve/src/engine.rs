@@ -175,7 +175,7 @@ impl QueryEngine {
 
     /// Writes the accumulated statistics as a `metrics.json`-style artifact
     /// (the [`crate::stats::MetricsSnapshot`] shape) through the crate's
-    /// crash-safe [`crate::atomic::atomic_write`] path.
+    /// crash-safe [`dc_matrix::atomic::atomic_write`] path.
     ///
     /// # Errors
     /// Propagates IO failures from the atomic write.
@@ -183,7 +183,7 @@ impl QueryEngine {
         let snapshot = self.stats.lock().snapshot();
         let json = serde_json::to_string_pretty(&snapshot)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
-        crate::atomic::atomic_write(path, json.as_bytes())
+        dc_matrix::atomic::atomic_write(path, json.as_bytes())
     }
 }
 

@@ -1,5 +1,5 @@
-//! Shared binary artifact framing — now hosted in [`dc_matrix::framing`]
-//! and re-exported here unchanged.
+//! The serve layer's artifact error over the shared binary framing of
+//! [`dc_matrix::framing`].
 //!
 //! Both on-disk artifact formats — the `.dcm` model ([`crate::artifact`])
 //! and the `.dck` mining checkpoint ([`crate::checkpoint`]) — use the same
@@ -25,8 +25,7 @@
 //! codec knows nothing about.
 
 use crate::model::ModelError;
-
-pub use dc_matrix::framing::{crc32, FrameError, Reader, Writer};
+use dc_matrix::framing::FrameError;
 
 /// Everything that can go wrong encoding or decoding a framed artifact.
 #[derive(Debug)]
@@ -113,6 +112,7 @@ impl From<FrameError> for ArtifactError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_matrix::framing::{Reader, Writer};
 
     const MAGIC: [u8; 4] = *b"TST1";
 

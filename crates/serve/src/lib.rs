@@ -45,7 +45,6 @@
 //! ```
 
 pub mod artifact;
-pub mod atomic;
 pub mod checkpoint;
 pub mod engine;
 pub mod framing;
@@ -54,7 +53,6 @@ pub mod registry;
 pub mod stats;
 
 pub use artifact::{load, save, ArtifactError};
-pub use atomic::{atomic_write, atomic_write_with, temp_sibling};
 pub use checkpoint::{
     checkpoint_from_bytes, checkpoint_to_bytes, load_checkpoint, save_checkpoint,
 };

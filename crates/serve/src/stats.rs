@@ -1,19 +1,13 @@
 //! Query-serving statistics: counts, hit/miss accounting, and a
 //! log-scaled latency histogram cheap enough to update on every query.
 //!
-//! The histogram math (bucket layout, quantile estimation) is delegated to
-//! [`dc_obs::Histogram`] — the generalised form of the histogram that first
-//! grew up here — while this struct keeps the raw bucket vector as public
-//! serde-visible state so persisted stats keep their shape.
+//! The histogram (bucket layout, quantile estimation) is
+//! [`dc_obs::Histogram`]; nothing persists these stats, and `metrics.json`
+//! is written from their [`MetricsSnapshot`].
 
-use dc_obs::{bucket_of, Histogram, HistogramSummary};
+use dc_obs::{Histogram, HistogramSummary};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// Number of power-of-two latency buckets. Bucket `i` holds latencies in
-/// `[2^(i-1), 2^i)` nanoseconds (bucket 0 holds 0–1 ns); the last bucket
-/// absorbs everything ≥ 2^(BUCKETS-2) ns (≈ 34 s).
-pub const BUCKETS: usize = dc_obs::HISTOGRAM_BUCKETS;
 
 /// Aggregate statistics for a stream of point queries.
 ///
@@ -21,7 +15,7 @@ pub const BUCKETS: usize = dc_obs::HISTOGRAM_BUCKETS;
 /// bounds with at most 2× resolution error — plenty to distinguish an
 /// indexed lookup from a full model scan, which differ by orders of
 /// magnitude.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryStats {
     /// Total queries answered (hits + misses + degenerate).
     pub queries: u64,
@@ -31,23 +25,8 @@ pub struct QueryStats {
     pub misses: u64,
     /// Queries covered only by degenerate (zero-volume) clusters.
     pub degenerate: u64,
-    /// Latency histogram; see [`BUCKETS`].
-    pub latency_buckets: Vec<u64>,
-    /// Sum of all recorded latencies in nanoseconds.
-    pub total_latency_nanos: u64,
-}
-
-impl Default for QueryStats {
-    fn default() -> Self {
-        QueryStats {
-            queries: 0,
-            hits: 0,
-            misses: 0,
-            degenerate: 0,
-            latency_buckets: vec![0; BUCKETS],
-            total_latency_nanos: 0,
-        }
-    }
+    /// Per-query latency in nanoseconds, one sample per query.
+    latency: Histogram,
 }
 
 /// How a single query resolved, for stats accounting.
@@ -97,9 +76,7 @@ impl QueryStats {
             QueryOutcome::Miss => self.misses += 1,
             QueryOutcome::Degenerate => self.degenerate += 1,
         }
-        let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
-        self.latency_buckets[bucket_of(nanos)] += 1;
-        self.total_latency_nanos = self.total_latency_nanos.saturating_add(nanos);
+        self.latency.record_duration(latency);
     }
 
     /// Folds another stats block into this one (used by worker threads to
@@ -109,12 +86,7 @@ impl QueryStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.degenerate += other.degenerate;
-        for (a, b) in self.latency_buckets.iter_mut().zip(&other.latency_buckets) {
-            *a += b;
-        }
-        self.total_latency_nanos = self
-            .total_latency_nanos
-            .saturating_add(other.total_latency_nanos);
+        self.latency.merge(&other.latency);
     }
 
     /// Fraction of queries answered with a prediction.
@@ -126,31 +98,26 @@ impl QueryStats {
         }
     }
 
-    /// The latency distribution as a [`dc_obs::Histogram`] (cold path:
-    /// clones the bucket vector).
-    pub fn latency_histogram(&self) -> Histogram {
-        Histogram::from_parts(self.latency_buckets.clone(), self.total_latency_nanos)
+    /// The latency distribution.
+    pub fn latency_histogram(&self) -> &Histogram {
+        &self.latency
     }
 
     /// Mean latency over all recorded queries.
     pub fn mean_latency(&self) -> Duration {
-        Duration::from_nanos(
-            self.total_latency_nanos
-                .checked_div(self.queries)
-                .unwrap_or(0),
-        )
+        Duration::from_nanos(self.latency.mean())
     }
 
     /// Histogram-estimated latency quantile (`q` in `[0, 1]`): the upper
     /// bound of the bucket containing the q-th ordered query.
     pub fn latency_quantile(&self, q: f64) -> Duration {
-        Duration::from_nanos(self.latency_histogram().quantile(q))
+        Duration::from_nanos(self.latency.quantile(q))
     }
 
     /// Summarises counts and latency quantiles for a `metrics.json`
     /// artifact (see [`crate::QueryEngine::export_metrics`]).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let summary = HistogramSummary::of(&self.latency_histogram());
+        let summary = HistogramSummary::of(&self.latency);
         MetricsSnapshot {
             queries: self.queries,
             hits: self.hits,
@@ -160,7 +127,7 @@ impl QueryStats {
             mean_latency_nanos: summary.mean,
             p50_latency_nanos: summary.p50,
             p99_latency_nanos: summary.p99,
-            total_latency_nanos: self.total_latency_nanos,
+            total_latency_nanos: self.latency.total(),
         }
     }
 }
@@ -168,16 +135,6 @@ impl QueryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_log_scaled() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
-    }
 
     #[test]
     fn record_and_quantiles() {
@@ -206,8 +163,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.queries, 3);
         assert_eq!(a.degenerate, 1);
-        assert_eq!(a.total_latency_nanos, 70);
-        assert_eq!(a.latency_buckets.iter().sum::<u64>(), 3);
+        assert_eq!(a.latency_histogram().total(), 70);
+        assert_eq!(a.latency_histogram().count(), 3);
     }
 
     #[test]
@@ -241,15 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_serialize_to_json() {
-        let mut s = QueryStats::new();
-        s.record(QueryOutcome::Hit, Duration::from_nanos(5));
-        let text = serde_json::to_string(&s).unwrap();
-        let back: QueryStats = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
     fn histogram_view_agrees_with_raw_fields() {
         let mut s = QueryStats::new();
         for n in [3u64, 100, 5_000, 1_000_000] {
@@ -257,8 +205,8 @@ mod tests {
         }
         let h = s.latency_histogram();
         assert_eq!(h.count(), s.queries);
-        assert_eq!(h.total(), s.total_latency_nanos);
-        assert_eq!(h.buckets(), &s.latency_buckets[..]);
+        assert_eq!(h.total(), 1_005_103);
+        assert_eq!(s.mean_latency(), Duration::from_nanos(h.mean()));
         assert_eq!(
             s.latency_quantile(0.5),
             Duration::from_nanos(h.quantile(0.5))

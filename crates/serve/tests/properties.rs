@@ -95,7 +95,8 @@ proptest! {
 
 // ---- Checkpoint (.dck) codec ----------------------------------------------
 
-use dc_floc::{floc_observed, FlocCheckpoint, FlocConfig};
+use dc_floc::{floc_with, CheckpointLog, FlocCheckpoint, FlocConfig};
+use dc_obs::Obs;
 use dc_serve::{checkpoint_from_bytes, checkpoint_to_bytes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,10 +113,9 @@ fn mined_snapshots(seed: u64, rows: usize, cols: usize) -> Vec<FlocCheckpoint> {
         }
     }
     let config = FlocConfig::builder(2).alpha(0.5).seed(seed).build();
-    let mut snapshots = Vec::new();
-    let mut obs = |c: &FlocCheckpoint| snapshots.push(c.clone());
-    floc_observed(&m, &config, Some(&mut obs)).unwrap();
-    snapshots
+    let log = CheckpointLog::new();
+    floc_with(&m, &config, &Obs::new(log.clone())).unwrap();
+    log.snapshots()
 }
 
 proptest! {

@@ -12,10 +12,28 @@
 //!
 //! Run with: `cargo run --example interruptible_mining`
 
+use delta_clusters::obs::Event;
 use delta_clusters::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Raises `interrupt` at the second checkpoint a run publishes: a ctrl-c
+/// that lands mid-mining, but deterministically.
+struct InterruptAtSecondCheckpoint {
+    interrupt: Arc<AtomicBool>,
+    seen: AtomicUsize,
+}
+
+impl Sink for InterruptAtSecondCheckpoint {
+    fn emit(&self, event: &Event<'_>) {
+        if FlocCheckpoint::from_event(event).is_some()
+            && self.seen.fetch_add(1, Ordering::Relaxed) == 1
+        {
+            self.interrupt.store(true, Ordering::Relaxed);
+        }
+    }
+}
 
 fn main() {
     // A synthetic matrix with three embedded δ-clusters.
@@ -46,22 +64,23 @@ fn main() {
     );
 
     // ---- Lever 2 + 3: interrupt mid-run, checkpoint, resume -------------
-    // The observer sees a resumable snapshot after every improving
-    // iteration. Here it also *raises the interrupt* after the second one,
-    // simulating a ctrl-c that lands mid-mining deterministically.
+    // A run publishes a resumable snapshot as a `floc.checkpoint` event
+    // after every improving iteration; a `CheckpointLog` keeps them. A
+    // second sink *raises the interrupt* after the second one.
     let interrupt = Arc::new(AtomicBool::new(false));
     let observed = FlocConfig::builder(3)
         .seed(9)
         .interrupt(interrupt.clone())
         .build();
-    let mut checkpoints: Vec<FlocCheckpoint> = Vec::new();
-    let mut observer = |c: &FlocCheckpoint| {
-        checkpoints.push(c.clone());
-        if checkpoints.len() == 2 {
-            interrupt.store(true, Ordering::Relaxed);
-        }
-    };
-    let partial = floc_observed(&matrix, &observed, Some(&mut observer)).unwrap();
+    let checkpoints = CheckpointLog::new();
+    let obs = Obs::fanout(vec![
+        Box::new(checkpoints.clone()),
+        Box::new(InterruptAtSecondCheckpoint {
+            interrupt,
+            seen: AtomicUsize::new(0),
+        }),
+    ]);
+    let partial = floc_with(&matrix, &observed, &obs).unwrap();
     assert_eq!(partial.stop_reason, StopReason::Interrupted);
     println!(
         "interrupted:   {} iterations, avg residue {:.4}, stopped: {}",
@@ -72,13 +91,13 @@ fn main() {
     // codec — exactly what `delta-clusters mine --checkpoint` writes.
     let path = std::env::temp_dir().join("interruptible_mining.dck");
     let snapshot = checkpoints.last().unwrap();
-    save_checkpoint(snapshot, &path).unwrap();
+    save_checkpoint(&snapshot, &path).unwrap();
     let restored = load_checkpoint(&path).unwrap();
-    assert_eq!(&restored, snapshot);
+    assert_eq!(restored, snapshot);
 
     // Resume from disk with a fresh (uninterrupted) config: the run picks
     // up where it left off and lands on the identical clustering.
-    let resumed = floc_resume(&matrix, &restored, &config, None).unwrap();
+    let resumed = floc_resume_with(&matrix, &restored, &config, &Obs::null()).unwrap();
     println!(
         "resumed:       {} iterations, avg residue {:.4}, stopped: {}",
         resumed.iterations, resumed.avg_residue, resumed.stop_reason

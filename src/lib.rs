@@ -77,9 +77,9 @@ pub mod prelude {
     pub use dc_eval::{diameter, match_clusters, quality};
     #[allow(deprecated)]
     pub use dc_floc::{
-        cluster_residue, floc, floc_observed, floc_parallel, floc_resume, floc_resume_with,
-        floc_with, Constraint, DeltaCluster, FlocCheckpoint, FlocConfig, FlocResult, InterruptFlag,
-        Ordering, Parallelism, ResidueMean, Seeding, StopReason,
+        cluster_residue, floc, floc_parallel, floc_resume_with, floc_with, CheckpointLog,
+        Constraint, DeltaCluster, FlocCheckpoint, FlocConfig, FlocResult, InterruptFlag, Ordering,
+        Parallelism, ResidueMean, Seeding, StopReason,
     };
     pub use dc_matrix::{
         validate, BackendKind, BitSet, DataMatrix, MatrixBuilder, PagedError, PagedOptions,
