@@ -18,17 +18,16 @@ where
     }
     let chunk = n.div_ceil(workers);
     let mut slots: Vec<Option<Vec<T>>> = (0..workers).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, slot) in slots.iter_mut().enumerate() {
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let lo = i * chunk;
                 let hi = ((i + 1) * chunk).min(n);
                 *slot = Some((lo..hi).map(f).collect());
             });
         }
-    })
-    .expect("baseline worker panicked");
+    });
     let mut out = Vec::with_capacity(n);
     for slot in slots {
         out.extend(slot.expect("every chunk is filled before the scope ends"));

@@ -129,11 +129,47 @@ fn mine_log_json_emits_schema_valid_lines() {
         "stale_rebuilds",
         "repairs",
         "stale_scans",
+        "decide_nanos",
+        "wait_nanos",
+        "lanes",
     ] {
         assert!(
             field(obj, key).and_then(Value::as_u64).is_some(),
             "floc.iteration missing {key}: {iteration:?}"
         );
+    }
+    let lanes = field(obj, "lanes").and_then(Value::as_u64).unwrap();
+
+    // One `floc.lane` event per lane per iteration.
+    let lane_events: Vec<Value> = lines
+        .iter()
+        .map(|l| serde_json::parse_value(l).unwrap())
+        .filter(|v| {
+            v.as_object()
+                .and_then(|o| field(o, "event"))
+                .and_then(Value::as_str)
+                == Some("floc.lane")
+        })
+        .collect();
+    let iterations = names.iter().filter(|n| *n == "floc.iteration").count();
+    assert_eq!(lane_events.len() as u64, lanes * iterations as u64);
+    for event in &lane_events {
+        let obj = event.as_object().unwrap();
+        for key in [
+            "iteration",
+            "lane",
+            "clusters",
+            "eval_nanos",
+            "rebuild_nanos",
+            "apply_nanos",
+            "wait_nanos",
+            "repairs",
+        ] {
+            assert!(
+                field(obj, key).and_then(Value::as_u64).is_some(),
+                "floc.lane missing {key}: {event:?}"
+            );
+        }
     }
     assert!(
         field(obj, "avg_residue").and_then(Value::as_f64).is_some(),

@@ -73,6 +73,17 @@ fn target_specified(matrix: &DataMatrix, state: &ClusterState, target: Target) -
 }
 
 impl Constraint {
+    /// True if checking an action against this constraint reads clusters
+    /// other than the one the action toggles.
+    pub(crate) fn reads_other_clusters(&self) -> bool {
+        match self {
+            Constraint::MaxOverlap { .. } | Constraint::RowCoverage | Constraint::ColCoverage => {
+                true
+            }
+            Constraint::MinVolume { .. } | Constraint::MaxVolume { .. } => false,
+        }
+    }
+
     /// True if performing `action` keeps the clustering within this
     /// constraint.
     pub fn allows(&self, matrix: &DataMatrix, states: &[ClusterState], action: Action) -> bool {

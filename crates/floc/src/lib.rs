@@ -61,6 +61,7 @@ pub mod config;
 pub mod constraints;
 pub mod gain_engine;
 pub mod history;
+mod lanes;
 pub mod ordering;
 pub mod parallel;
 pub mod prediction;

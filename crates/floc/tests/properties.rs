@@ -429,38 +429,57 @@ proptest! {
 
 // ---- Thread-count determinism ---------------------------------------------
 
-use dc_floc::Parallelism;
+use dc_floc::{Constraint, Parallelism};
+
+/// The search variants the thread-count suites pin for `engine`: the
+/// default, pre-decided actions (`refresh_gains(false)`), the squared mean,
+/// and a `MaxOverlap` constraint, which reads every cluster and so runs on
+/// one lane whatever the thread count.
+fn thread_variants(k: usize, seed: u64, engine: GainEngineKind) -> Vec<FlocConfig> {
+    let base = FlocConfig::builder(k)
+        .alpha(0.5)
+        .seed(seed)
+        .gain_engine(engine)
+        .threads(1);
+    vec![
+        base.clone().build(),
+        base.clone().refresh_gains(false).build(),
+        base.clone().mean(ResidueMean::Squared).build(),
+        base.constraint(Constraint::MaxOverlap { fraction: 0.5 })
+            .build(),
+    ]
+}
 
 proptest! {
-    /// Gain evaluation and engine rebuilds fan out across threads, but the
-    /// search is bit-identical for every thread count: per-target argmax
-    /// scans clusters in index order on whichever worker owns the target
-    /// (ties break toward the lowest cluster index), and each cluster's
-    /// indexes are an independent build. Pin it for both engines across
-    /// threads ∈ {1, 2, 4, 8}.
+    /// Gain evaluation and engine rebuilds fan out across threads, and the
+    /// perform loop splits into one cluster lane per thread, but the search
+    /// is bit-identical for every thread count: per-target argmax scans
+    /// clusters in index order on whichever worker owns the target, lanes
+    /// merge their partial argmaxes with the same tie rule (ties break
+    /// toward the lowest cluster index), and each cluster's indexes are an
+    /// independent build. Pin it for both engines across threads ∈
+    /// {1, 2, 3, 4, 8} (3 does not divide k = 2 or 4), with refreshed and
+    /// pre-decided actions, both residue means and a cross-cluster
+    /// constraint.
     #[test]
     fn runs_are_bit_identical_across_thread_counts(
         m in arb_mining_matrix(),
         seed in 0u64..1_000_000,
-        k in 2usize..4,
+        k in 2usize..5,
     ) {
         for engine in [GainEngineKind::Exact, GainEngineKind::Incremental] {
-            let base = FlocConfig::builder(k)
-                .alpha(0.5)
-                .seed(seed)
-                .gain_engine(engine)
-                .threads(1)
-                .build();
-            let reference = dc_floc::floc(&m, &base).unwrap();
-            for threads in [2usize, 4, 8] {
-                let mut cfg = base.clone();
-                cfg.parallelism = Parallelism::new(threads, 1);
-                let r = dc_floc::floc(&m, &cfg).unwrap();
-                prop_assert_eq!(&r.clusters, &reference.clusters, "{:?} x{}", engine, threads);
-                prop_assert_eq!(f64_bits(&r.residues), f64_bits(&reference.residues));
-                prop_assert_eq!(r.avg_residue.to_bits(), reference.avg_residue.to_bits());
-                prop_assert_eq!(r.iterations, reference.iterations);
-                prop_assert_eq!(&r.trace, &reference.trace);
+            for base in thread_variants(k, seed, engine) {
+                let reference = dc_floc::floc(&m, &base).unwrap();
+                for threads in [2usize, 3, 4, 8] {
+                    let mut cfg = base.clone();
+                    cfg.parallelism = Parallelism::new(threads, 1);
+                    let r = dc_floc::floc(&m, &cfg).unwrap();
+                    prop_assert_eq!(&r.clusters, &reference.clusters, "{:?} x{}", engine, threads);
+                    prop_assert_eq!(f64_bits(&r.residues), f64_bits(&reference.residues));
+                    prop_assert_eq!(r.avg_residue.to_bits(), reference.avg_residue.to_bits());
+                    prop_assert_eq!(r.iterations, reference.iterations);
+                    prop_assert_eq!(&r.trace, &reference.trace);
+                }
             }
         }
     }
@@ -468,30 +487,27 @@ proptest! {
     /// Checkpoints taken mid-run under one thread count resume bit-identically
     /// under any other: parallelism is runtime plumbing, not search identity,
     /// so a 1-thread run's snapshot finishes to the same answer on 8 threads
-    /// (and vice versa), for both gain engines.
+    /// (and vice versa), for both gain engines and every variant of
+    /// [`thread_variants`].
     #[test]
     fn resume_is_bit_identical_across_thread_counts(
         m in arb_mining_matrix(),
         seed in 0u64..1_000_000,
     ) {
         for engine in [GainEngineKind::Exact, GainEngineKind::Incremental] {
-            let base = FlocConfig::builder(2)
-                .alpha(0.5)
-                .seed(seed)
-                .gain_engine(engine)
-                .threads(1)
-                .build();
-            let (full, snapshots) = floc_logged(&m, &base);
-            for ckpt in &snapshots {
-                for threads in [2usize, 4, 8] {
-                    let mut cfg = base.clone();
-                    cfg.parallelism = Parallelism::new(threads, 1);
-                    let resumed = resume(&m, ckpt, &cfg);
-                    prop_assert_eq!(&resumed.clusters, &full.clusters, "{:?} x{}", engine, threads);
-                    prop_assert_eq!(f64_bits(&resumed.residues), f64_bits(&full.residues));
-                    prop_assert_eq!(resumed.avg_residue.to_bits(), full.avg_residue.to_bits());
-                    prop_assert_eq!(resumed.iterations, full.iterations);
-                    prop_assert_eq!(&resumed.trace, &full.trace);
+            for base in thread_variants(2, seed, engine) {
+                let (full, snapshots) = floc_logged(&m, &base);
+                for ckpt in &snapshots {
+                    for threads in [2usize, 3, 4, 8] {
+                        let mut cfg = base.clone();
+                        cfg.parallelism = Parallelism::new(threads, 1);
+                        let resumed = resume(&m, ckpt, &cfg);
+                        prop_assert_eq!(&resumed.clusters, &full.clusters, "{:?} x{}", engine, threads);
+                        prop_assert_eq!(f64_bits(&resumed.residues), f64_bits(&full.residues));
+                        prop_assert_eq!(resumed.avg_residue.to_bits(), full.avg_residue.to_bits());
+                        prop_assert_eq!(resumed.iterations, full.iterations);
+                        prop_assert_eq!(&resumed.trace, &full.trace);
+                    }
                 }
             }
         }
