@@ -30,7 +30,13 @@ fn bench_gain(c: &mut Criterion) {
             |b, (m, st)| {
                 let mut scratch = Scratch::default();
                 b.iter(|| {
-                    st.residue_if_row_toggled(m, rows - 1, ResidueMean::Arithmetic, &mut scratch)
+                    st.residue_if_row_toggled(
+                        m,
+                        rows - 1,
+                        &m.row_of(rows - 1),
+                        ResidueMean::Arithmetic,
+                        &mut scratch,
+                    )
                 })
             },
         );

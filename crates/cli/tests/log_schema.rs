@@ -132,6 +132,8 @@ fn mine_log_json_emits_schema_valid_lines() {
         "decide_nanos",
         "wait_nanos",
         "lanes",
+        "block_hits",
+        "block_misses",
     ] {
         assert!(
             field(obj, key).and_then(Value::as_u64).is_some(),

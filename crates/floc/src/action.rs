@@ -15,7 +15,7 @@
 
 use crate::residue::ResidueMean;
 use crate::stats::{ClusterState, Scratch};
-use dc_matrix::DataMatrix;
+use dc_matrix::{DataMatrix, Line};
 use serde::{Deserialize, Serialize};
 
 /// The row or column an action toggles.
@@ -38,6 +38,16 @@ impl Target {
     /// True for row targets.
     pub fn is_row(self) -> bool {
         matches!(self, Target::Row(_))
+    }
+
+    /// The target's row or column of `matrix`, read once: every consumer
+    /// of one action (gain queries against each cluster, the index repair,
+    /// the toggle) takes this line instead of reading the matrix again.
+    pub fn line(self, matrix: &DataMatrix) -> Line<'_> {
+        match self {
+            Target::Row(r) => matrix.row_of(r),
+            Target::Col(c) => matrix.col_of(c),
+        }
     }
 }
 
@@ -65,28 +75,30 @@ pub struct EvaluatedAction {
 ///
 /// `current_residue` is the cluster's residue before the toggle (cached by
 /// the driver so it is not recomputed for each of the `k` candidate
-/// clusters).
+/// clusters), and `line` is the target's [`Target::line`].
 pub fn gain(
     matrix: &DataMatrix,
     state: &ClusterState,
     current_residue: f64,
     target: Target,
+    line: &Line,
     mean: ResidueMean,
     scratch: &mut Scratch,
 ) -> f64 {
     let toggled = match target {
-        Target::Row(r) => state.residue_if_row_toggled(matrix, r, mean, scratch),
-        Target::Col(c) => state.residue_if_col_toggled(matrix, c, mean, scratch),
+        Target::Row(r) => state.residue_if_row_toggled(matrix, r, line, mean, scratch),
+        Target::Col(c) => state.residue_if_col_toggled(matrix, c, line, mean, scratch),
     };
     current_residue - toggled
 }
 
-/// Applies `action`'s toggle to the cluster state it refers to.
-pub fn apply(matrix: &DataMatrix, states: &mut [ClusterState], action: Action) {
+/// Applies `action`'s toggle to the cluster state it refers to; `line` is
+/// the target's [`Target::line`].
+pub fn apply(states: &mut [ClusterState], action: Action, line: &Line) {
     let state = &mut states[action.cluster];
     match action.target {
-        Target::Row(r) => state.toggle_row(matrix, r),
-        Target::Col(c) => state.toggle_col(matrix, c),
+        Target::Row(r) => state.toggle_row(r, line),
+        Target::Col(c) => state.toggle_col(c, line),
     }
 }
 
@@ -130,6 +142,7 @@ mod tests {
             &states[0],
             cur,
             Target::Col(2),
+            &Target::Col(2).line(&m),
             ResidueMean::Arithmetic,
             &mut s,
         );
@@ -155,6 +168,7 @@ mod tests {
             &st,
             cur,
             Target::Col(2),
+            &Target::Col(2).line(&m),
             ResidueMean::Arithmetic,
             &mut s,
         );
@@ -176,16 +190,17 @@ mod tests {
             &states[1],
             cur,
             Target::Row(2),
+            &Target::Row(2).line(&m),
             ResidueMean::Arithmetic,
             &mut s,
         );
         apply(
-            &m,
             &mut states,
             Action {
                 target: Target::Row(2),
                 cluster: 1,
             },
+            &Target::Row(2).line(&m),
         );
         let new = states[1].residue(&m, ResidueMean::Arithmetic, &mut s);
         let g_insert = gain(
@@ -193,6 +208,7 @@ mod tests {
             &states[1],
             new,
             Target::Row(2),
+            &Target::Row(2).line(&m),
             ResidueMean::Arithmetic,
             &mut s,
         );
@@ -205,22 +221,22 @@ mod tests {
         assert!(states[0].rows.contains(0));
         assert!(!states[1].rows.contains(0));
         apply(
-            &m,
             &mut states,
             Action {
                 target: Target::Row(0),
                 cluster: 1,
             },
+            &Target::Row(0).line(&m),
         );
         assert!(states[1].rows.contains(0), "row 0 inserted into cluster 2");
         assert!(states[0].rows.contains(0), "cluster 1 untouched");
         apply(
-            &m,
             &mut states,
             Action {
                 target: Target::Col(1),
                 cluster: 0,
             },
+            &Target::Col(1).line(&m),
         );
         assert!(!states[0].cols.contains(1), "col 1 removed from cluster 1");
     }

@@ -166,14 +166,28 @@ fn evaluate_best_actions(
             action: Action { target, cluster: 0 },
             gain: f64::NEG_INFINITY,
         };
+        // Read once, on the first cluster that can take the action, and
+        // shared by every cluster's query.
+        let mut line = None;
         for (c, state) in states.iter().enumerate() {
             let a = Action { target, cluster: c };
             if blocked(matrix, states, a, config) {
                 continue;
             }
+            let line = line.get_or_insert_with(|| target.line(matrix));
             let g = match engine {
-                Some(eng) => residues[c] - eng.toggled_residue(c, target, state, matrix, scratch),
-                None => action::gain(matrix, state, residues[c], target, config.mean, scratch),
+                Some(eng) => {
+                    residues[c] - eng.toggled_residue(c, target, line, state, matrix, scratch)
+                }
+                None => action::gain(
+                    matrix,
+                    state,
+                    residues[c],
+                    target,
+                    line,
+                    config.mean,
+                    scratch,
+                ),
             };
             if g > best.gain {
                 best = EvaluatedAction { action: a, gain: g };
@@ -236,7 +250,7 @@ pub fn floc(matrix: &DataMatrix, config: &FlocConfig) -> Result<FlocResult, Floc
 /// - `floc.seeding` (span): phase-1 duration and cluster count;
 /// - `floc.iteration` (point): per completed iteration — average residue,
 ///   best-prefix position, actions performed/skipped, gain-engine
-///   maintenance tallies, iteration latency;
+///   maintenance tallies, iteration latency, block-cache hits and misses;
 /// - `floc.checkpoint` (point): after every improving iteration and at
 ///   termination, with the resumable [`FlocCheckpoint`] as the event's
 ///   attachment ([`FlocCheckpoint::from_event`] recovers it);
@@ -498,6 +512,8 @@ fn run_loop(
         // the `floc.iteration` event. Gated on observation being live so
         // the unobserved hot loop never pays the clock reads.
         let timing = obs.enabled();
+        // Block-cache traffic over the iteration (all zero in memory).
+        let io_at_start = timing.then(|| matrix.storage_backend().io_stats());
 
         // Drift guard: the incremental engine is rebuilt from the canonical
         // incumbent states every iteration, so index error cannot compound
@@ -520,10 +536,10 @@ fn run_loop(
         let t = timing.then(Instant::now);
         let mut actions =
             evaluate_best_actions(matrix, &best, &best_residues, config, engine.as_ref());
-        let decide_nanos = lanes::nanos_since(t);
 
         // 2. Order them.
         ordering::order_actions(&mut actions, config.ordering, &mut rng);
+        let decide_nanos = lanes::nanos_since(t);
 
         // 3. Perform sequentially on a working copy, tracking the best
         //    prefix by average residue.
@@ -570,13 +586,44 @@ fn run_loop(
         });
         let (iter_rebuilds, iter_repairs, iter_scans) =
             engine.as_ref().map_or((0, 0, 0), |e| e.counters());
-        // Lane 0's phases tile the iteration; its wait for the other
-        // lanes' partials counts as eval.
-        let lane0 = lane_stats[0];
         total_stale_rebuilds += iter_rebuilds;
         total_repairs += iter_repairs;
         total_stale_scans += iter_scans;
-        if obs.enabled() {
+
+        // 4. Settle an improving iteration: replay the winning prefix onto
+        //    the iteration's starting state (cheaper than snapshotting after
+        //    every action: toggles are O(|I|+|J|) and the prefix is at most
+        //    N+M actions), then rebuild the incumbent states from their
+        //    descriptors so the sums have the same accumulation order a
+        //    resume would reconstruct. Like the drift guard, this re-derives
+        //    state from canonical descriptors, so it counts as rebuild.
+        let incumbent_avg = best_avg;
+        let t = timing.then(Instant::now);
+        drop(engine);
+        if improved {
+            if best_prefix_len == performed.len() {
+                best = states; // the full sequence was the best prefix
+            } else {
+                for &a in &performed[..best_prefix_len] {
+                    action::apply(&mut best, a, &a.target.line(matrix));
+                }
+            }
+            best = best
+                .iter()
+                .map(|s| ClusterState::new(matrix, &s.to_cluster()))
+                .collect();
+            for (c, state) in best.iter().enumerate() {
+                best_residues[c] = state.residue(matrix, config.mean, &mut scratch);
+            }
+            best_avg = best_residues.iter().sum::<f64>() / config.k as f64;
+        }
+        let settle_nanos = lanes::nanos_since(t);
+
+        // Lane 0's phases tile the iteration; its wait for the other
+        // lanes' partials counts as eval.
+        let lane0 = lane_stats[0];
+        if let Some(io_at_start) = io_at_start {
+            let io = matrix.storage_backend().io_stats();
             obs.emit(
                 "floc.iteration",
                 &[
@@ -586,7 +633,7 @@ fn run_loop(
                         iter_started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                     ),
                     Field::new("avg_residue", best_prefix_avg),
-                    Field::new("incumbent_avg", best_avg),
+                    Field::new("incumbent_avg", incumbent_avg),
                     Field::new("best_prefix_len", best_prefix_len),
                     Field::new("actions_performed", performed.len()),
                     Field::new("actions_skipped", skipped),
@@ -606,11 +653,16 @@ fn run_loop(
                         "eval_nanos",
                         decide_nanos + lane0.eval_nanos + lane0.wait_nanos,
                     ),
-                    Field::new("rebuild_nanos", build_nanos + lane0.rebuild_nanos),
+                    Field::new(
+                        "rebuild_nanos",
+                        build_nanos + lane0.rebuild_nanos + settle_nanos,
+                    ),
                     Field::new("apply_nanos", lane0.apply_nanos),
                     Field::new("decide_nanos", decide_nanos),
                     Field::new("wait_nanos", lane0.wait_nanos),
                     Field::new("lanes", lane_stats.len()),
+                    Field::new("block_hits", io.hits - io_at_start.hits),
+                    Field::new("block_misses", io.misses - io_at_start.misses),
                 ],
             );
             for (lane, st) in lane_stats.iter().enumerate() {
@@ -633,29 +685,6 @@ fn run_loop(
             stop_reason = StopReason::Converged;
             break;
         }
-
-        // 4. Replay the winning prefix onto the iteration's starting state.
-        //    (Cheaper than snapshotting after every action: toggles are
-        //    O(|I|+|J|) and the prefix is at most N+M actions.)
-        if best_prefix_len == performed.len() {
-            best = states; // the full sequence was the best prefix
-        } else {
-            for &a in &performed[..best_prefix_len] {
-                action::apply(matrix, &mut best, a);
-            }
-        }
-        // Canonicalize: rebuild the incumbent states from their
-        // descriptors so the sums have the same accumulation order a
-        // resume would reconstruct. O(k · cluster volume), negligible next
-        // to the O((N+M)·k·n·m) evaluation above.
-        best = best
-            .iter()
-            .map(|s| ClusterState::new(matrix, &s.to_cluster()))
-            .collect();
-        for (c, state) in best.iter().enumerate() {
-            best_residues[c] = state.residue(matrix, config.mean, &mut scratch);
-        }
-        best_avg = best_residues.iter().sum::<f64>() / config.k as f64;
 
         if obs.enabled() {
             let snap = snapshot(

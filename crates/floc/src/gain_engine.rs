@@ -61,6 +61,17 @@
 //!   being queried pays at most `STALE_SCANS` scans on top of the rebuild.
 //!   A stale side is not repaired by applies.
 //!
+//! ## Reads
+//!
+//! A query, [`IncrementalEngine::apply`] and the matching
+//! [`ClusterState`] toggle all take the target's [`dc_matrix::Line`]
+//! ([`Target::line`]), so one action reads its target once, however many
+//! clusters score it. Rebuilds read the cluster row by row, the per-column
+//! side included (it buckets entries by column in one row-major pass), so
+//! on the paged backend a rebuild reads each block once rather than once
+//! per column. Each build worker and each lane's engine owns one bucket
+//! buffer (`Buckets`) for every rebuild it runs.
+//!
 //! The driver rebuilds the whole engine from the canonical cluster states
 //! at every iteration boundary — the *drift guard* that keeps long runs
 //! (and checkpoint/resume) anchored to the exact statistics.
@@ -68,7 +79,7 @@
 use crate::action::{Action, Target};
 use crate::residue::ResidueMean;
 use crate::stats::{ClusterState, Scratch};
-use dc_matrix::DataMatrix;
+use dc_matrix::{DataMatrix, Line};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -334,12 +345,21 @@ pub(crate) struct ClusterIndex {
     col_side: Side,
     /// Freshness of `by_row`.
     row_side: Side,
-    /// `(value, id)` pairs reused across every line rebuild of this
-    /// cluster, so steady-state rebuilds allocate nothing.
-    sort_buf: Vec<(f64, u32)>,
-    /// Per-line bases hoisted out of the entry loops: one division per
-    /// member line per rebuild instead of one per entry.
-    base_buf: Vec<f64>,
+}
+
+/// Scratch a rebuild fills, owned once per build worker or lane and
+/// reused across every rebuild it runs, so steady-state rebuilds allocate
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Buckets {
+    /// `(value, id)` entries: a by-column rebuild's buckets laid end to
+    /// end, or one row's entries in a by-row rebuild.
+    entries: Vec<(f64, u32)>,
+    /// Per-column write cursors into `entries` (by-column rebuilds).
+    next: Vec<usize>,
+    /// Column bases hoisted out of the entry loop, one division per member
+    /// column instead of one per entry (by-row rebuilds).
+    base: Vec<f64>,
 }
 
 impl ClusterIndex {
@@ -349,53 +369,90 @@ impl ClusterIndex {
             by_row: vec![DimIndex::default(); matrix.rows()],
             col_side: Side::default(),
             row_side: Side::default(),
-            sort_buf: Vec::new(),
-            base_buf: Vec::new(),
         }
     }
 
-    fn rebuild_by_col(&mut self, matrix: &DataMatrix, st: &ClusterState, mean: ResidueMean) {
+    /// Rebuilds the per-column side in one row-major pass: every entry of
+    /// the cluster goes to its column's bucket (a counting sort on the
+    /// known column counts), then each bucket is sorted by `(value, id)`.
+    /// Ids are unique within a bucket, so the order the pass fills it in
+    /// never shows.
+    fn rebuild_by_col(
+        &mut self,
+        matrix: &DataMatrix,
+        st: &ClusterState,
+        mean: ResidueMean,
+        buf: &mut Buckets,
+    ) {
         for d in &mut self.by_col {
             d.clear();
         }
-        // (i, j) specified with j ∈ J ⇒ row i's count is ≥ 1; the hoisted
-        // division is the same one the entry loop used to perform.
-        self.base_buf.clear();
-        self.base_buf.resize(matrix.rows(), 0.0);
+        let Buckets { entries, next, .. } = buf;
+        next.clear();
+        next.resize(matrix.cols(), 0);
+        let mut end = 0;
+        for j in st.cols.iter() {
+            next[j] = end;
+            end += st.col_specified(j) as usize;
+        }
+        entries.clear();
+        entries.resize(end, (0.0, 0));
         for i in st.rows.iter() {
-            if st.row_specified(i) > 0 {
-                self.base_buf[i] = st.row_sum(i) / st.row_specified(i) as f64;
+            if st.row_specified(i) == 0 {
+                continue; // no entries in J, and no base
+            }
+            let rb = st.row_sum(i) / st.row_specified(i) as f64;
+            for (j, v) in matrix.row_specified_in(i, &st.cols) {
+                entries[next[j]] = (v - rb, i as u32);
+                next[j] += 1;
             }
         }
+        let mut start = 0;
         for j in st.cols.iter() {
-            self.sort_buf.clear();
-            for (i, v) in matrix.col_specified_in(j, &st.rows) {
-                self.sort_buf.push((v - self.base_buf[i], i as u32));
-            }
-            self.by_col[j].assign_sorted(&mut self.sort_buf, mean);
+            // Each cursor has advanced to its bucket's end.
+            self.by_col[j].assign_sorted(&mut entries[start..next[j]], mean);
+            start = next[j];
         }
         self.col_side.ok = true;
     }
 
-    fn rebuild_by_row(&mut self, matrix: &DataMatrix, st: &ClusterState, mean: ResidueMean) {
+    fn rebuild_by_row(
+        &mut self,
+        matrix: &DataMatrix,
+        st: &ClusterState,
+        mean: ResidueMean,
+        buf: &mut Buckets,
+    ) {
         for d in &mut self.by_row {
             d.clear();
         }
-        self.base_buf.clear();
-        self.base_buf.resize(matrix.cols(), 0.0);
+        let Buckets { entries, base, .. } = buf;
+        base.clear();
+        base.resize(matrix.cols(), 0.0);
         for j in st.cols.iter() {
             if st.col_specified(j) > 0 {
-                self.base_buf[j] = st.col_sum(j) / st.col_specified(j) as f64;
+                base[j] = st.col_sum(j) / st.col_specified(j) as f64;
             }
         }
         for i in st.rows.iter() {
-            self.sort_buf.clear();
+            entries.clear();
             for (j, v) in matrix.row_specified_in(i, &st.cols) {
-                self.sort_buf.push((v - self.base_buf[j], j as u32));
+                entries.push((v - base[j], j as u32));
             }
-            self.by_row[i].assign_sorted(&mut self.sort_buf, mean);
+            self.by_row[i].assign_sorted(entries, mean);
         }
         self.row_side.ok = true;
+    }
+
+    fn rebuild(
+        &mut self,
+        matrix: &DataMatrix,
+        st: &ClusterState,
+        mean: ResidueMean,
+        buf: &mut Buckets,
+    ) {
+        self.rebuild_by_col(matrix, st, mean, buf);
+        self.rebuild_by_row(matrix, st, mean, buf);
     }
 }
 
@@ -418,6 +475,8 @@ pub struct IncrementalEngine {
     repairs: u64,
     /// Queries answered by the exact scanner because their side was stale.
     stale_scans: AtomicU64,
+    /// The rebuild scratch of whoever runs this engine's rebuilds.
+    buf: Buckets,
 }
 
 impl IncrementalEngine {
@@ -442,12 +501,12 @@ impl IncrementalEngine {
             stale_rebuilds: 0,
             repairs: 0,
             stale_scans: AtomicU64::new(0),
+            buf: Buckets::default(),
         };
         let threads = threads.max(1).min(states.len().max(1));
         if threads <= 1 || states.len() < 2 {
             for (ci, st) in engine.clusters.iter_mut().zip(states) {
-                ci.rebuild_by_col(matrix, st, mean);
-                ci.rebuild_by_row(matrix, st, mean);
+                ci.rebuild(matrix, st, mean, &mut engine.buf);
             }
             return engine;
         }
@@ -459,9 +518,9 @@ impl IncrementalEngine {
             for (ci_chunk, st_chunk) in engine.clusters.chunks_mut(chunk).zip(states.chunks(chunk))
             {
                 scope.spawn(move || {
+                    let mut buf = Buckets::default();
                     for (ci, st) in ci_chunk.iter_mut().zip(st_chunk) {
-                        ci.rebuild_by_col(matrix, st, mean);
-                        ci.rebuild_by_row(matrix, st, mean);
+                        ci.rebuild(matrix, st, mean, &mut buf);
                     }
                 });
             }
@@ -491,6 +550,7 @@ impl IncrementalEngine {
             stale_rebuilds,
             repairs,
             stale_scans: AtomicU64::new(stale_scans),
+            buf: Buckets::default(),
         }
     }
 
@@ -503,11 +563,11 @@ impl IncrementalEngine {
         let mean = self.mean;
         for (ci, st) in self.clusters.iter_mut().zip(states) {
             if is_row && ci.col_side.due_for_rebuild() {
-                ci.rebuild_by_col(matrix, st, mean);
+                ci.rebuild_by_col(matrix, st, mean, &mut self.buf);
                 self.stale_rebuilds += 1;
             }
             if !is_row && ci.row_side.due_for_rebuild() {
-                ci.rebuild_by_row(matrix, st, mean);
+                ci.rebuild_by_row(matrix, st, mean, &mut self.buf);
                 self.stale_rebuilds += 1;
             }
         }
@@ -529,15 +589,17 @@ impl IncrementalEngine {
 
     /// The residue cluster `cluster` would have with `target` toggled —
     /// the incremental counterpart of [`ClusterState::residue_if_row_toggled`] /
-    /// [`ClusterState::residue_if_col_toggled`]. `st` must be the state the
-    /// engine's indexes were built/repaired against. When the side the
-    /// query reads is stale, the answer comes from that exact scanner
-    /// (using `scratch`) and counts towards the side's rebuild in the next
-    /// [`Self::prepare`].
+    /// [`ClusterState::residue_if_col_toggled`]. `line` is the target's
+    /// line ([`Target::line`]), the only read of the target's values. `st`
+    /// must be the state the engine's indexes were built/repaired against.
+    /// When the side the query reads is stale, the answer comes from that
+    /// exact scanner (using `scratch`) and counts towards the side's
+    /// rebuild in the next [`Self::prepare`].
     pub fn toggled_residue(
         &self,
         cluster: usize,
         target: Target,
+        line: &Line,
         st: &ClusterState,
         matrix: &DataMatrix,
         scratch: &mut Scratch,
@@ -552,13 +614,13 @@ impl IncrementalEngine {
             side.scans.fetch_add(1, Ordering::Relaxed);
             self.stale_scans.fetch_add(1, Ordering::Relaxed);
             return match target {
-                Target::Row(r) => st.residue_if_row_toggled(matrix, r, self.mean, scratch),
-                Target::Col(c) => st.residue_if_col_toggled(matrix, c, self.mean, scratch),
+                Target::Row(r) => st.residue_if_row_toggled(matrix, r, line, self.mean, scratch),
+                Target::Col(c) => st.residue_if_col_toggled(matrix, c, line, self.mean, scratch),
             };
         }
         match target {
-            Target::Row(r) => self.residue_row_toggled(ci, r, st, matrix),
-            Target::Col(c) => self.residue_col_toggled(ci, c, st, matrix),
+            Target::Row(r) => self.residue_row_toggled(ci, r, line, st),
+            Target::Col(c) => self.residue_col_toggled(ci, c, line, st),
         }
     }
 
@@ -566,15 +628,15 @@ impl IncrementalEngine {
         &self,
         ci: &ClusterIndex,
         x: usize,
+        line: &Line,
         st: &ClusterState,
-        matrix: &DataMatrix,
     ) -> f64 {
         let adding = !st.rows.contains(x);
         let sign = if adding { 1.0 } else { -1.0 };
 
-        // Word-block kernel; bit-identical to folding row_specified_in.
+        // Word-block kernel; bit-identical to folding the line's entries.
         let (t_sum, t_cnt) = if adding {
-            matrix.row_stats_in(x, &st.cols)
+            line.stats_in(&st.cols)
         } else {
             (st.row_sum(x), st.row_specified(x))
         };
@@ -598,10 +660,10 @@ impl IncrementalEngine {
             t_sum / t_cnt as f64
         };
 
-        let xvals = matrix.row_ref(x);
+        let xvals = line.values();
         let mut sum = 0.0;
         for j in st.cols.iter() {
-            let spec = matrix.is_specified(x, j);
+            let spec = line.is_specified(j);
             let (mut cs, mut cn) = (st.col_sum(j), st.col_specified(j) as i64);
             let v = xvals.get(j);
             if spec {
@@ -627,15 +689,15 @@ impl IncrementalEngine {
         &self,
         ci: &ClusterIndex,
         y: usize,
+        line: &Line,
         st: &ClusterState,
-        matrix: &DataMatrix,
     ) -> f64 {
         let adding = !st.cols.contains(y);
         let sign = if adding { 1.0 } else { -1.0 };
 
-        // Word-block kernel; bit-identical to folding col_specified_in.
+        // Word-block kernel; bit-identical to folding the line's entries.
         let (t_sum, t_cnt) = if adding {
-            matrix.col_stats_in(y, &st.rows)
+            line.stats_in(&st.rows)
         } else {
             (st.col_sum(y), st.col_specified(y))
         };
@@ -658,11 +720,12 @@ impl IncrementalEngine {
             t_sum / t_cnt as f64
         };
 
+        let yvals = line.values();
         let mut sum = 0.0;
         for i in st.rows.iter() {
-            let spec = matrix.is_specified(i, y);
+            let spec = line.is_specified(i);
             let (mut rs, mut rn) = (st.row_sum(i), st.row_specified(i) as i64);
-            let v = matrix.value_unchecked(i, y);
+            let v = yvals.get(i);
             if spec {
                 rs += sign * v;
                 rn += sign as i64;
@@ -698,6 +761,7 @@ impl IncrementalEngine {
     /// statistics depend on a non-member row's data.
     pub fn begin_row_update(&mut self, matrix: &DataMatrix, states: &[ClusterState], row: usize) {
         let mean = self.mean;
+        let line = matrix.row_of(row);
         for (ci, st) in self.clusters.iter_mut().zip(states) {
             if !st.rows.contains(row) {
                 continue;
@@ -709,7 +773,7 @@ impl IncrementalEngine {
             self.repairs += 1;
             if st.row_specified(row) > 0 {
                 let rb = st.row_sum(row) / st.row_specified(row) as f64;
-                for (j, v) in matrix.row_specified_in(row, &st.cols) {
+                for (j, v) in line.specified_in(&st.cols) {
                     ci.by_col[j].remove(v - rb, row as u32, mean);
                 }
             }
@@ -722,13 +786,14 @@ impl IncrementalEngine {
     /// sums produce the new invariant residues.
     pub fn finish_row_update(&mut self, matrix: &DataMatrix, states: &[ClusterState], row: usize) {
         let mean = self.mean;
+        let line = matrix.row_of(row);
         for (ci, st) in self.clusters.iter_mut().zip(states) {
             if !st.rows.contains(row) || !ci.col_side.ok {
                 continue;
             }
             if st.row_specified(row) > 0 {
                 let rb = st.row_sum(row) / st.row_specified(row) as f64;
-                for (j, v) in matrix.row_specified_in(row, &st.cols) {
+                for (j, v) in line.specified_in(&st.cols) {
                     ci.by_col[j].insert(v - rb, row as u32, mean);
                 }
             }
@@ -736,12 +801,13 @@ impl IncrementalEngine {
     }
 
     /// Brings the indexes in step with `action`, which the driver is about
-    /// to perform. Must be called with the cluster's state *before* the
-    /// toggle (the pre-toggle sums reproduce the stored values to remove).
+    /// to perform; `line` is its target's line ([`Target::line`]). Must be
+    /// called with the cluster's state *before* the toggle (the pre-toggle
+    /// sums reproduce the stored values to remove).
     ///
     /// Repairs the same-side index in place (`O(line · |I or J|)`) and
     /// marks the opposite side stale.
-    pub fn apply(&mut self, matrix: &DataMatrix, st: &ClusterState, action: Action) {
+    pub fn apply(&mut self, line: &Line, st: &ClusterState, action: Action) {
         let mean = self.mean;
         let ci = &mut self.clusters[action.cluster];
         match action.target {
@@ -754,15 +820,15 @@ impl IncrementalEngine {
                 if st.rows.contains(x) {
                     if st.row_specified(x) > 0 {
                         let rb = st.row_sum(x) / st.row_specified(x) as f64;
-                        for (j, v) in matrix.row_specified_in(x, &st.cols) {
+                        for (j, v) in line.specified_in(&st.cols) {
                             ci.by_col[j].remove(v - rb, x as u32, mean);
                         }
                     }
                 } else {
-                    let (t_sum, t_cnt) = matrix.row_stats_in(x, &st.cols);
+                    let (t_sum, t_cnt) = line.stats_in(&st.cols);
                     if t_cnt > 0 {
                         let rb = t_sum / t_cnt as f64;
-                        for (j, v) in matrix.row_specified_in(x, &st.cols) {
+                        for (j, v) in line.specified_in(&st.cols) {
                             ci.by_col[j].insert(v - rb, x as u32, mean);
                         }
                     }
@@ -777,15 +843,15 @@ impl IncrementalEngine {
                 if st.cols.contains(y) {
                     if st.col_specified(y) > 0 {
                         let cb = st.col_sum(y) / st.col_specified(y) as f64;
-                        for (i, v) in matrix.col_specified_in(y, &st.rows) {
+                        for (i, v) in line.specified_in(&st.rows) {
                             ci.by_row[i].remove(v - cb, y as u32, mean);
                         }
                     }
                 } else {
-                    let (t_sum, t_cnt) = matrix.col_stats_in(y, &st.rows);
+                    let (t_sum, t_cnt) = line.stats_in(&st.rows);
                     if t_cnt > 0 {
                         let cb = t_sum / t_cnt as f64;
-                        for (i, v) in matrix.col_specified_in(y, &st.rows) {
+                        for (i, v) in line.specified_in(&st.rows) {
                             ci.by_row[i].insert(v - cb, y as u32, mean);
                         }
                     }
@@ -837,13 +903,27 @@ mod tests {
                 let engine = IncrementalEngine::build(&m, std::slice::from_ref(&st), mean);
                 let mut scratch = Scratch::default();
                 for r in 0..12 {
-                    let exact = st.residue_if_row_toggled(&m, r, mean, &mut scratch);
-                    let incr = engine.toggled_residue(0, Target::Row(r), &st, &m, &mut scratch);
+                    let exact = st.residue_if_row_toggled(&m, r, &m.row_of(r), mean, &mut scratch);
+                    let incr = engine.toggled_residue(
+                        0,
+                        Target::Row(r),
+                        &Target::Row(r).line(&m),
+                        &st,
+                        &m,
+                        &mut scratch,
+                    );
                     assert_close(incr, exact, &format!("row {r} ({mean:?}, seed {seed})"));
                 }
                 for c in 0..9 {
-                    let exact = st.residue_if_col_toggled(&m, c, mean, &mut scratch);
-                    let incr = engine.toggled_residue(0, Target::Col(c), &st, &m, &mut scratch);
+                    let exact = st.residue_if_col_toggled(&m, c, &m.col_of(c), mean, &mut scratch);
+                    let incr = engine.toggled_residue(
+                        0,
+                        Target::Col(c),
+                        &Target::Col(c).line(&m),
+                        &st,
+                        &m,
+                        &mut scratch,
+                    );
                     assert_close(incr, exact, &format!("col {c} ({mean:?}, seed {seed})"));
                 }
             }
@@ -870,10 +950,15 @@ mod tests {
                 // does), then apply the drawn toggle.
                 engine.prepare(&m, std::slice::from_ref(&st), target.is_row());
                 let exact = match target {
-                    Target::Row(r) => st.residue_if_row_toggled(&m, r, mean, &mut scratch),
-                    Target::Col(c) => st.residue_if_col_toggled(&m, c, mean, &mut scratch),
+                    Target::Row(r) => {
+                        st.residue_if_row_toggled(&m, r, &m.row_of(r), mean, &mut scratch)
+                    }
+                    Target::Col(c) => {
+                        st.residue_if_col_toggled(&m, c, &m.col_of(c), mean, &mut scratch)
+                    }
                 };
-                let incr = engine.toggled_residue(0, target, &st, &m, &mut scratch);
+                let incr =
+                    engine.toggled_residue(0, target, &target.line(&m), &st, &m, &mut scratch);
                 assert_close(incr, exact, &format!("step {step} {target:?} ({mean:?})"));
                 // Keep the cluster non-degenerate for the next step.
                 let would_empty = match target {
@@ -883,10 +968,10 @@ mod tests {
                 if would_empty {
                     continue;
                 }
-                engine.apply(&m, &st, Action { target, cluster: 0 });
+                engine.apply(&target.line(&m), &st, Action { target, cluster: 0 });
                 match target {
-                    Target::Row(r) => st.toggle_row(&m, r),
-                    Target::Col(c) => st.toggle_col(&m, c),
+                    Target::Row(r) => st.toggle_row(r, &m.row_of(r)),
+                    Target::Col(c) => st.toggle_col(c, &m.col_of(c)),
                 }
             }
         }
@@ -940,8 +1025,16 @@ mod tests {
                 // Row queries answer from the repaired per-column side.
                 for (k, st) in states.iter().enumerate() {
                     for r in 0..12 {
-                        let exact = st.residue_if_row_toggled(&m, r, mean, &mut scratch);
-                        let incr = engine.toggled_residue(k, Target::Row(r), st, &m, &mut scratch);
+                        let exact =
+                            st.residue_if_row_toggled(&m, r, &m.row_of(r), mean, &mut scratch);
+                        let incr = engine.toggled_residue(
+                            k,
+                            Target::Row(r),
+                            &Target::Row(r).line(&m),
+                            st,
+                            &m,
+                            &mut scratch,
+                        );
                         assert_close(incr, exact, &format!("step {step} cluster {k} row {r}"));
                     }
                 }
@@ -950,8 +1043,16 @@ mod tests {
                 engine.prepare(&m, &states, false);
                 for (k, st) in states.iter().enumerate() {
                     for c in 0..9 {
-                        let exact = st.residue_if_col_toggled(&m, c, mean, &mut scratch);
-                        let incr = engine.toggled_residue(k, Target::Col(c), st, &m, &mut scratch);
+                        let exact =
+                            st.residue_if_col_toggled(&m, c, &m.col_of(c), mean, &mut scratch);
+                        let incr = engine.toggled_residue(
+                            k,
+                            Target::Col(c),
+                            &Target::Col(c).line(&m),
+                            st,
+                            &m,
+                            &mut scratch,
+                        );
                         assert_close(incr, exact, &format!("step {step} cluster {k} col {c}"));
                     }
                 }
@@ -975,10 +1076,10 @@ mod tests {
         scratch: &mut Scratch,
     ) {
         let exact = match target {
-            Target::Row(r) => st.residue_if_row_toggled(m, r, engine.mean, scratch),
-            Target::Col(c) => st.residue_if_col_toggled(m, c, engine.mean, scratch),
+            Target::Row(r) => st.residue_if_row_toggled(m, r, &m.row_of(r), engine.mean, scratch),
+            Target::Col(c) => st.residue_if_col_toggled(m, c, &m.col_of(c), engine.mean, scratch),
         };
-        let incr = engine.toggled_residue(0, target, st, m, scratch);
+        let incr = engine.toggled_residue(0, target, &target.line(m), st, m, scratch);
         assert_close(incr, exact, &format!("{target:?}"));
     }
 
@@ -996,8 +1097,8 @@ mod tests {
             target: Target::Row(7),
             cluster: 0,
         };
-        engine.apply(&m, &st, row7);
-        st.toggle_row(&m, 7);
+        engine.apply(&m.row_of(7), &st, row7);
+        st.toggle_row(7, &m.row_of(7));
         assert_eq!(engine.counters(), (0, 1, 0));
 
         // …and marks the per-row side stale: column queries read it, and
@@ -1025,8 +1126,8 @@ mod tests {
         // A side invalidated before every query is never rebuilt: each row
         // apply resets the per-row side's scan count.
         for n in 1..=3 * scans {
-            engine.apply(&m, &st, row7);
-            st.toggle_row(&m, 7);
+            engine.apply(&m.row_of(7), &st, row7);
+            st.toggle_row(7, &m.row_of(7));
             engine.prepare(&m, states(&st), false);
             assert_query_matches(&engine, &st, &m, Target::Col(n as usize % 8), &mut scratch);
             assert_eq!(engine.counters(), (1, 1 + n, scans + n));
@@ -1126,5 +1227,84 @@ mod tests {
         assert_eq!(d.ids, vec![9, 2, 4]);
         let naive: f64 = d.vals.iter().map(|&s| (s - 0.3).abs()).sum();
         assert!((d.query(0.3, mean) - naive).abs() < 1e-12);
+    }
+
+    /// The one-pass bucketed per-column rebuild lays out every column
+    /// exactly as a column-major build sorting each column on its own.
+    #[test]
+    fn by_col_rebuild_matches_a_column_major_build() {
+        let m = random_matrix(70, 9, 0.8, 21);
+        let cluster =
+            DeltaCluster::from_indices(70, 9, (0..70).filter(|r| r % 3 != 1), [0, 2, 3, 7]);
+        let st = ClusterState::new(&m, &cluster);
+        for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+            let mut ci = ClusterIndex::new(&m);
+            ci.rebuild_by_col(&m, &st, mean, &mut Buckets::default());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for j in 0..9 {
+                let mut want = DimIndex::default();
+                if st.cols.contains(j) {
+                    let mut column: Vec<(f64, u32)> = m
+                        .col_specified_in(j, &st.rows)
+                        .map(|(i, v)| (v - st.row_sum(i) / st.row_specified(i) as f64, i as u32))
+                        .collect();
+                    want.assign_sorted(&mut column, mean);
+                }
+                let got = &ci.by_col[j];
+                assert_eq!(bits(&got.vals), bits(&want.vals), "col {j} ({mean:?})");
+                assert_eq!(got.ids, want.ids, "col {j} ({mean:?})");
+                assert_eq!(bits(&got.pre), bits(&want.pre), "col {j} ({mean:?})");
+            }
+        }
+    }
+
+    /// With the target's line read, scoring it against every cluster of a
+    /// fresh engine and applying it reads no further block.
+    #[test]
+    fn scoring_and_applying_a_target_reuse_its_one_line() {
+        let mem = random_matrix(40, 12, 0.85, 5);
+        let dir = std::env::temp_dir().join(format!("dc-floc-line-reads-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cells = (0..40 * 12).map(|i| mem.get(i / 12, i % 12)).collect();
+        let m = DataMatrix::builder(40, 12)
+            .paged(&dir)
+            .chunk_rows(4)
+            .cache_blocks(Some(1))
+            .from_options(cells)
+            .unwrap();
+        let clusters = [
+            DeltaCluster::from_indices(40, 12, 0..20, 0..6),
+            DeltaCluster::from_indices(40, 12, (0..40).step_by(3), [1, 4, 7, 10]),
+            DeltaCluster::from_indices(40, 12, 25..40, 5..12),
+        ];
+        let mut scratch = Scratch::default();
+        for target in [
+            Target::Row(2),
+            Target::Row(30),
+            Target::Col(0),
+            Target::Col(9),
+        ] {
+            for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+                let mut states: Vec<_> =
+                    clusters.iter().map(|c| ClusterState::new(&m, c)).collect();
+                let mut engine = IncrementalEngine::build(&m, &states, mean);
+                let line = target.line(&m);
+                let read = m.storage_backend().io_stats();
+                for (c, st) in states.iter().enumerate() {
+                    engine.toggled_residue(c, target, &line, st, &m, &mut scratch);
+                }
+                let action = Action { target, cluster: 1 };
+                engine.apply(&line, &states[1], action);
+                crate::action::apply(&mut states, action, &line);
+                assert_eq!(
+                    m.storage_backend().io_stats(),
+                    read,
+                    "{target:?} ({mean:?})"
+                );
+                assert_eq!(engine.counters().2, 0, "a fresh engine scans nothing");
+            }
+        }
+        drop(m);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

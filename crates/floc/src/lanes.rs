@@ -10,14 +10,15 @@
 //! and their [`IncrementalEngine`] indexes, and runs on a thread of its
 //! own. For each action every lane
 //!
-//! 1. prepares its own index sides and scores the target against its own
-//!    clusters, keeping the first best in cluster order;
+//! 1. reads the target's line once ([`Target::line`]), prepares its own
+//!    index sides and scores the target against its own clusters, keeping
+//!    the first best in cluster order;
 //! 2. posts that partial `(cluster, gain, toggled residue)` to the
 //!    [`Mailbox`] and reads every other lane's;
 //! 3. merges the partials with [`merge`] (highest gain; equal gains go to
 //!    the lower cluster id), which is exactly the serial scan's first
 //!    maximum, so every lane agrees on the winner;
-//! 4. performs the toggle if it owns the winner.
+//! 4. performs the toggle if it owns the winner, from the same line.
 //!
 //! Each cluster's sorted indexes stay on one core for the whole loop,
 //! which is what makes the split pay: an apply's in-place repairs touch
@@ -42,7 +43,7 @@ use crate::constraints::Constraint;
 use crate::gain_engine::IncrementalEngine;
 use crate::history::StopReason;
 use crate::stats::{ClusterState, Scratch};
-use dc_matrix::{BackendKind, DataMatrix};
+use dc_matrix::{BackendKind, DataMatrix, Line};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -228,19 +229,21 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// One lane's busy time and work over one perform loop; `run_loop`
-/// reports it on a `floc.lane` event. Times are zero unless observed.
+/// One lane's time and work over one perform loop; `run_loop` reports it
+/// on a `floc.lane` event. The four times tile the lane's loop, and are
+/// zero unless observed.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaneStats {
     /// Clusters the lane owns.
     pub clusters: usize,
-    /// Scoring targets against its clusters.
+    /// Reading each target's line and scoring it against its clusters
+    /// (and, on lane 0, polling for a stop).
     pub eval_nanos: u64,
     /// Lazy index-side rebuilds ([`IncrementalEngine::prepare`]).
     pub rebuild_nanos: u64,
     /// Performing toggles and, on lane 0, keeping the books.
     pub apply_nanos: u64,
-    /// Waiting for the other lanes' posts.
+    /// Posting its partial and waiting for the other lanes' posts.
     pub wait_nanos: u64,
     /// In-place index repairs its applies made.
     pub repairs: u64,
@@ -249,6 +252,21 @@ pub(crate) struct LaneStats {
 /// Nanoseconds since `t`, or 0 when the loop is not timed.
 pub(crate) fn nanos_since(t: Option<Instant>) -> u64 {
     t.map_or(0, |t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+}
+
+/// A lane's stopwatch: each lap charges the time since the previous lap to
+/// one phase, so the phases tile the loop with no untimed gaps. Reads no
+/// clock when the loop is not timed.
+struct Clock(Option<Instant>);
+
+impl Clock {
+    fn lap(&mut self, phase: &mut u64) {
+        if let Some(last) = self.0.as_mut() {
+            let now = Instant::now();
+            *phase += now.duration_since(*last).as_nanos().min(u64::MAX as u128) as u64;
+            *last = now;
+        }
+    }
 }
 
 /// What every lane reads.
@@ -305,16 +323,14 @@ impl Lane {
     /// Rebuilds the stale index sides the coming `is_row` queries read.
     fn prepare(&mut self, ctx: &Ctx, is_row: bool) {
         if let Some(eng) = self.engine.as_mut() {
-            let t = ctx.timing.then(Instant::now);
             eng.prepare(ctx.matrix, &self.states, is_row);
-            self.stats.rebuild_nanos += nanos_since(t);
         }
     }
 
-    /// Scores `target` against this lane's clusters and keeps the first
-    /// best, as the serial scan over every cluster would.
-    fn score(&mut self, ctx: &Ctx, target: Target) -> Option<Partial> {
-        let t = ctx.timing.then(Instant::now);
+    /// Scores `target`, whose line is `line`, against this lane's clusters
+    /// and keeps the first best, as the serial scan over every cluster
+    /// would.
+    fn score(&mut self, ctx: &Ctx, target: Target, line: &Line) -> Option<Partial> {
         let Lane {
             clusters,
             states,
@@ -338,12 +354,12 @@ impl Lane {
             }
             let (gain, toggled) = match engine.as_ref() {
                 Some(eng) => {
-                    let tr = eng.toggled_residue(i, target, state, ctx.matrix, scratch);
+                    let tr = eng.toggled_residue(i, target, line, state, ctx.matrix, scratch);
                     (residues[i] - tr, tr)
                 }
                 None => {
-                    let mean = ctx.config.mean;
-                    let g = action::gain(ctx.matrix, state, residues[i], target, mean, scratch);
+                    let (m, mean) = (ctx.matrix, ctx.config.mean);
+                    let g = action::gain(m, state, residues[i], target, line, mean, scratch);
                     (g, f64::NAN)
                 }
             };
@@ -356,7 +372,6 @@ impl Lane {
                 });
             }
         }
-        self.stats.eval_nanos += nanos_since(t);
         best
     }
 
@@ -378,8 +393,8 @@ impl Lane {
 
     /// Performs the toggle `act` on its local cluster `i` and returns the
     /// cluster's new residue. `toggled` is the winner's queried residue
-    /// when refreshed gains produced it.
-    fn apply(&mut self, ctx: &Ctx, i: usize, act: Action, toggled: f64) -> f64 {
+    /// when refreshed gains produced it; `line` is the target's line.
+    fn apply(&mut self, ctx: &Ctx, i: usize, act: Action, toggled: f64, line: &Line) -> f64 {
         let local = Action {
             target: act.target,
             cluster: i,
@@ -398,15 +413,15 @@ impl Lane {
                 } else {
                     // The pre-decided gain is stale; query the residue the
                     // toggle actually produces against the current state.
-                    eng.toggled_residue(i, act.target, &states[i], ctx.matrix, scratch)
+                    eng.toggled_residue(i, act.target, line, &states[i], ctx.matrix, scratch)
                 };
                 // Repair the indexes from the pre-toggle state, then toggle.
-                eng.apply(ctx.matrix, &states[i], local);
-                action::apply(ctx.matrix, states, local);
+                eng.apply(line, &states[i], local);
+                action::apply(states, local, line);
                 tr
             }
             None => {
-                action::apply(ctx.matrix, states, local);
+                action::apply(states, local, line);
                 states[i].residue(ctx.matrix, ctx.config.mean, scratch)
             }
         };
@@ -424,6 +439,7 @@ impl Lane {
         stop: Option<&dyn Fn() -> Option<StopReason>>,
     ) -> Option<StopReason> {
         let refresh = ctx.config.refresh_gains;
+        let mut clock = Clock(ctx.timing.then(Instant::now));
         for (n, ea) in ctx.actions.iter().enumerate() {
             let round = n as u64 + 1;
             if let Some(reason) = stop.and_then(|poll| poll()) {
@@ -435,22 +451,27 @@ impl Lane {
                 return Some(reason);
             }
             let target = ea.action.target;
+            // The target's line, read once for the scoring and the apply.
+            let mut line = None;
             let partial = if refresh {
                 // Re-decide this target's best action against the *current*
                 // clustering (§4.1: "examined sequentially … decided and
                 // performed"). Negative best gains are still performed.
+                let line = line.insert(target.line(ctx.matrix));
+                clock.lap(&mut self.stats.eval_nanos);
                 self.prepare(ctx, target.is_row());
-                self.score(ctx, target)
+                clock.lap(&mut self.stats.rebuild_nanos);
+                self.score(ctx, target, line)
             } else {
                 self.pre_decided(ctx, ea)
             };
+            clock.lap(&mut self.stats.eval_nanos);
             let post = Post {
                 partial,
                 abort: false,
             };
             mailbox.post(self.id, round, post);
 
-            let t = ctx.timing.then(Instant::now);
             let mut winner = None;
             for lane in 0..ctx.lanes {
                 let post = mailbox.read(lane, round);
@@ -459,21 +480,22 @@ impl Lane {
                 }
                 winner = merge([winner, post.partial]);
             }
-            self.stats.wait_nanos += nanos_since(t);
+            clock.lap(&mut self.stats.wait_nanos);
 
             if winner.is_some() && !refresh {
                 // Every cluster prepares before a pre-decided action's
                 // query, as the serial loop always did.
                 self.prepare(ctx, target.is_row());
+                clock.lap(&mut self.stats.rebuild_nanos);
             }
-            let t = ctx.timing.then(Instant::now);
             let applied = winner.and_then(|w| {
                 let i = self.local(ctx, w.cluster)?;
                 let act = Action {
                     target,
                     cluster: w.cluster,
                 };
-                Some(self.apply(ctx, i, act, w.toggled))
+                let line = line.get_or_insert_with(|| target.line(ctx.matrix));
+                Some(self.apply(ctx, i, act, w.toggled, line))
             });
             if let Some(book) = book.as_deref_mut() {
                 match winner {
@@ -489,7 +511,7 @@ impl Lane {
                     }
                 }
             }
-            self.stats.apply_nanos += nanos_since(t);
+            clock.lap(&mut self.stats.apply_nanos);
         }
         None
     }

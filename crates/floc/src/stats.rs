@@ -16,7 +16,7 @@
 
 use crate::cluster::DeltaCluster;
 use crate::residue::ResidueMean;
-use dc_matrix::{BitSet, DataMatrix};
+use dc_matrix::{BitSet, DataMatrix, Line};
 
 /// Reusable scratch buffers for virtual-toggle residue evaluation.
 ///
@@ -77,7 +77,7 @@ impl ClusterState {
         };
         // Initialize column stats lazily by inserting rows one at a time.
         for r in cluster.rows.iter() {
-            s.insert_row(matrix, r);
+            s.insert_row(r, &matrix.row_of(r));
         }
         s
     }
@@ -143,11 +143,11 @@ impl ClusterState {
         }
     }
 
-    fn insert_row(&mut self, matrix: &DataMatrix, row: usize) {
+    fn insert_row(&mut self, row: usize, line: &Line) {
         debug_assert!(!self.rows.contains(row));
         let mut sum = 0.0;
         let mut cnt = 0u32;
-        for (c, v) in matrix.row_specified_in(row, &self.cols) {
+        for (c, v) in line.specified_in(&self.cols) {
             sum += v;
             cnt += 1;
             self.col_sum[c] += v;
@@ -160,9 +160,9 @@ impl ClusterState {
         self.rows.insert(row);
     }
 
-    fn remove_row(&mut self, matrix: &DataMatrix, row: usize) {
+    fn remove_row(&mut self, row: usize, line: &Line) {
         debug_assert!(self.rows.contains(row));
-        for (c, v) in matrix.row_specified_in(row, &self.cols) {
+        for (c, v) in line.specified_in(&self.cols) {
             self.col_sum[c] -= v;
             self.col_cnt[c] -= 1;
         }
@@ -173,11 +173,11 @@ impl ClusterState {
         self.rows.remove(row);
     }
 
-    fn insert_col(&mut self, matrix: &DataMatrix, col: usize) {
+    fn insert_col(&mut self, col: usize, line: &Line) {
         debug_assert!(!self.cols.contains(col));
         let mut sum = 0.0;
         let mut cnt = 0u32;
-        for (r, v) in matrix.col_specified_in(col, &self.rows) {
+        for (r, v) in line.specified_in(&self.rows) {
             sum += v;
             cnt += 1;
             self.row_sum[r] += v;
@@ -190,9 +190,9 @@ impl ClusterState {
         self.cols.insert(col);
     }
 
-    fn remove_col(&mut self, matrix: &DataMatrix, col: usize) {
+    fn remove_col(&mut self, col: usize, line: &Line) {
         debug_assert!(self.cols.contains(col));
-        for (r, v) in matrix.col_specified_in(col, &self.rows) {
+        for (r, v) in line.specified_in(&self.rows) {
             self.row_sum[r] -= v;
             self.row_cnt[r] -= 1;
         }
@@ -233,22 +233,24 @@ impl ClusterState {
         }
     }
 
-    /// Toggles membership of `row`: inserts if absent, removes if present.
+    /// Toggles membership of `row`, whose line is `line`
+    /// ([`DataMatrix::row_of`]): inserts if absent, removes if present.
     /// `O(|J|)`.
-    pub fn toggle_row(&mut self, matrix: &DataMatrix, row: usize) {
+    pub fn toggle_row(&mut self, row: usize, line: &Line) {
         if self.rows.contains(row) {
-            self.remove_row(matrix, row);
+            self.remove_row(row, line);
         } else {
-            self.insert_row(matrix, row);
+            self.insert_row(row, line);
         }
     }
 
-    /// Toggles membership of `col`. `O(|I|)`.
-    pub fn toggle_col(&mut self, matrix: &DataMatrix, col: usize) {
+    /// Toggles membership of `col`, whose line is `line`
+    /// ([`DataMatrix::col_of`]). `O(|I|)`.
+    pub fn toggle_col(&mut self, col: usize, line: &Line) {
         if self.cols.contains(col) {
-            self.remove_col(matrix, col);
+            self.remove_col(col, line);
         } else {
-            self.insert_col(matrix, col);
+            self.insert_col(col, line);
         }
     }
 
@@ -283,22 +285,24 @@ impl ClusterState {
         sum / self.volume as f64
     }
 
-    /// Residue the cluster *would* have if `row`'s membership were toggled.
-    /// Does not mutate; one `O(|I′|·|J|)` scan plus `O(|I|+|J|)` setup.
+    /// Residue the cluster *would* have if `row`'s membership were toggled;
+    /// `line` is the row's [`DataMatrix::row_of`]. Does not mutate; one
+    /// `O(|I′|·|J|)` scan plus `O(|I|+|J|)` setup.
     pub fn residue_if_row_toggled(
         &self,
         matrix: &DataMatrix,
         row: usize,
+        line: &Line,
         mean: ResidueMean,
         scratch: &mut Scratch,
     ) -> f64 {
         let adding = !self.rows.contains(row);
         let sign = if adding { 1.0 } else { -1.0 };
-        let values = matrix.row_values(row);
+        let values = line.values();
 
         // Row sum/count of the toggled row over J (word-block kernel).
         let (t_sum, t_cnt) = if adding {
-            matrix.row_stats_in(row, &self.cols)
+            line.stats_in(&self.cols)
         } else {
             (self.row_sum[row], self.row_cnt[row])
         };
@@ -314,8 +318,8 @@ impl ClusterState {
         scratch.reset_col_base(matrix.cols());
         for c in self.cols.iter() {
             let (mut s, mut n) = (self.col_sum[c], self.col_cnt[c] as i64);
-            if matrix.is_specified(row, c) {
-                s += sign * values[c];
+            if line.is_specified(c) {
+                s += sign * values.get(c);
                 n += sign as i64;
             }
             scratch.col_base[c] = if n <= 0 { base } else { s / n as f64 };
@@ -343,26 +347,28 @@ impl ClusterState {
             } else {
                 t_sum / t_cnt as f64
             };
-            sum +=
-                matrix.row_residue_in(row, &self.cols, row_base, &scratch.col_base, base, squared);
+            sum += line.residue_in(&self.cols, row_base, &scratch.col_base, base, squared);
         }
         sum / new_volume as f64
     }
 
-    /// Residue the cluster *would* have if `col`'s membership were toggled.
+    /// Residue the cluster *would* have if `col`'s membership were toggled;
+    /// `line` is the column's [`DataMatrix::col_of`].
     pub fn residue_if_col_toggled(
         &self,
         matrix: &DataMatrix,
         col: usize,
+        line: &Line,
         mean: ResidueMean,
         scratch: &mut Scratch,
     ) -> f64 {
         let adding = !self.cols.contains(col);
         let sign = if adding { 1.0 } else { -1.0 };
+        let values = line.values();
 
         // Column sum/count of the toggled column over I (word-block kernel).
         let (t_sum, t_cnt) = if adding {
-            matrix.col_stats_in(col, &self.rows)
+            line.stats_in(&self.rows)
         } else {
             (self.col_sum[col], self.col_cnt[col])
         };
@@ -415,15 +421,15 @@ impl ClusterState {
         for r in self.rows.iter() {
             // Row base after the toggle: adjust by the toggled column's cell.
             let (mut rs, mut rn) = (self.row_sum[r], self.row_cnt[r] as i64);
-            let r_col_specified = matrix.is_specified(r, col);
+            let r_col_specified = line.is_specified(r);
             if r_col_specified {
-                rs += sign * matrix.value_unchecked(r, col);
+                rs += sign * values.get(r);
                 rn += sign as i64;
             }
             let row_base = if rn <= 0 { base } else { rs / rn as f64 };
             sum += matrix.row_residue_in(r, cols_for_scan, row_base, col_base, base, squared);
             if adding && r_col_specified {
-                let res = matrix.value_unchecked(r, col) - row_base - toggled_base + base;
+                let res = values.get(r) - row_base - toggled_base + base;
                 sum += mean.entry_term(res);
             }
         }
@@ -632,9 +638,9 @@ mod tests {
         ];
         for (is_row, idx) in moves {
             if is_row {
-                st.toggle_row(&m, idx);
+                st.toggle_row(idx, &m.row_of(idx));
             } else {
-                st.toggle_col(&m, idx);
+                st.toggle_col(idx, &m.col_of(idx));
             }
             assert_matches_reference(&m, &st);
         }
@@ -647,9 +653,9 @@ mod tests {
         let mut scratch = Scratch::default();
         for row in 0..4 {
             for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
-                let virt = st.residue_if_row_toggled(&m, row, mean, &mut scratch);
+                let virt = st.residue_if_row_toggled(&m, row, &m.row_of(row), mean, &mut scratch);
                 let mut actual = st.clone();
-                actual.toggle_row(&m, row);
+                actual.toggle_row(row, &m.row_of(row));
                 let real = actual.residue(&m, mean, &mut scratch);
                 assert!(
                     (virt - real).abs() < 1e-9,
@@ -666,9 +672,9 @@ mod tests {
         let mut scratch = Scratch::default();
         for col in 0..5 {
             for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
-                let virt = st.residue_if_col_toggled(&m, col, mean, &mut scratch);
+                let virt = st.residue_if_col_toggled(&m, col, &m.col_of(col), mean, &mut scratch);
                 let mut actual = st.clone();
-                actual.toggle_col(&m, col);
+                actual.toggle_col(col, &m.col_of(col));
                 let real = actual.residue(&m, mean, &mut scratch);
                 assert!(
                     (virt - real).abs() < 1e-9,
@@ -693,9 +699,9 @@ mod tests {
         let m = mixed();
         let mut st = ClusterState::new(&m, &DeltaCluster::from_indices(4, 5, [1], [0, 2]));
         let mut s = Scratch::default();
-        let virt = st.residue_if_row_toggled(&m, 1, ResidueMean::Arithmetic, &mut s);
+        let virt = st.residue_if_row_toggled(&m, 1, &m.row_of(1), ResidueMean::Arithmetic, &mut s);
         assert_eq!(virt, 0.0);
-        st.toggle_row(&m, 1);
+        st.toggle_row(1, &m.row_of(1));
         assert_eq!(st.volume(), 0);
     }
 
@@ -732,13 +738,13 @@ mod tests {
         for row in 0..4 {
             let virt = st.occupancy_violations_if_row_toggled(&m, row, alpha);
             let mut actual = st.clone();
-            actual.toggle_row(&m, row);
+            actual.toggle_row(row, &m.row_of(row));
             assert_eq!(virt, actual.occupancy_violations(alpha), "row {row}");
         }
         for col in 0..5 {
             let virt = st.occupancy_violations_if_col_toggled(&m, col, alpha);
             let mut actual = st.clone();
-            actual.toggle_col(&m, col);
+            actual.toggle_col(col, &m.col_of(col));
             assert_eq!(virt, actual.occupancy_violations(alpha), "col {col}");
         }
     }

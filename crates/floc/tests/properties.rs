@@ -108,9 +108,9 @@ proptest! {
         let mut scratch = Scratch::default();
         for (is_row, idx) in toggles {
             if is_row {
-                state.toggle_row(&m, idx % m.rows());
+                state.toggle_row(idx % m.rows(), &m.row_of(idx % m.rows()));
             } else {
-                state.toggle_col(&m, idx % m.cols());
+                state.toggle_col(idx % m.cols(), &m.col_of(idx % m.cols()));
             }
             let incr = state.residue(&m, ResidueMean::Arithmetic, &mut scratch);
             let oracle = cluster_residue(&m, &state.to_cluster(), ResidueMean::Arithmetic);
@@ -126,15 +126,15 @@ proptest! {
         let row = idx % m.rows();
         let col = idx % m.cols();
         for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
-            let virt = state.residue_if_row_toggled(&m, row, mean, &mut scratch);
+            let virt = state.residue_if_row_toggled(&m, row, &m.row_of(row), mean, &mut scratch);
             let mut actual = state.clone();
-            actual.toggle_row(&m, row);
+            actual.toggle_row(row, &m.row_of(row));
             let real = actual.residue(&m, mean, &mut scratch);
             prop_assert!((virt - real).abs() < 1e-7, "row {row} {mean:?}: {virt} vs {real}");
 
-            let virt = state.residue_if_col_toggled(&m, col, mean, &mut scratch);
+            let virt = state.residue_if_col_toggled(&m, col, &m.col_of(col), mean, &mut scratch);
             let mut actual = state.clone();
-            actual.toggle_col(&m, col);
+            actual.toggle_col(col, &m.col_of(col));
             let real = actual.residue(&m, mean, &mut scratch);
             prop_assert!((virt - real).abs() < 1e-7, "col {col} {mean:?}: {virt} vs {real}");
         }
@@ -147,8 +147,8 @@ proptest! {
         let before = state.residue(&m, ResidueMean::Arithmetic, &mut scratch);
         let mut toggled = state.clone();
         let row = idx % m.rows();
-        toggled.toggle_row(&m, row);
-        toggled.toggle_row(&m, row);
+        toggled.toggle_row(row, &m.row_of(row));
+        toggled.toggle_row(row, &m.row_of(row));
         let after = toggled.residue(&m, ResidueMean::Arithmetic, &mut scratch);
         prop_assert!((before - after).abs() < 1e-7);
         prop_assert_eq!(toggled.volume(), state.volume());
@@ -278,16 +278,16 @@ proptest! {
         for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
             let engine = IncrementalEngine::build(&m, std::slice::from_ref(&state), mean);
             for r in 0..m.rows() {
-                let exact = state.residue_if_row_toggled(&m, r, mean, &mut scratch);
-                let incr = engine.toggled_residue(0, Target::Row(r), &state, &m, &mut scratch);
+                let exact = state.residue_if_row_toggled(&m, r, &m.row_of(r), mean, &mut scratch);
+                let incr = engine.toggled_residue(0, Target::Row(r), &Target::Row(r).line(&m), &state, &m, &mut scratch);
                 prop_assert!(
                     (incr - exact).abs() <= 1e-9 * (1.0 + exact.abs()),
                     "row {r} {mean:?}: incremental {incr} vs exact {exact}"
                 );
             }
             for col in 0..m.cols() {
-                let exact = state.residue_if_col_toggled(&m, col, mean, &mut scratch);
-                let incr = engine.toggled_residue(0, Target::Col(col), &state, &m, &mut scratch);
+                let exact = state.residue_if_col_toggled(&m, col, &m.col_of(col), mean, &mut scratch);
+                let incr = engine.toggled_residue(0, Target::Col(col), &Target::Col(col).line(&m), &state, &m, &mut scratch);
                 prop_assert!(
                     (incr - exact).abs() <= 1e-9 * (1.0 + exact.abs()),
                     "col {col} {mean:?}: incremental {incr} vs exact {exact}"
@@ -554,9 +554,10 @@ proptest! {
 //
 // The out-of-core contract: a paged matrix mines BIT-identically to its
 // in-memory twin for any block geometry — every chunk size, every cache
-// cap, both gain engines, and through checkpoint/resume. Residue folds
-// carry the running accumulator into each chunk, so float addition order
-// never depends on where block boundaries fall.
+// cap, both gain engines, one or two threads, f64 or f32 storage, and
+// through checkpoint/resume. A paged row is one contiguous run inside its
+// block and a paged column is gathered whole before any fold, so float
+// addition order never depends on where block boundaries fall.
 
 /// Writes `m` into a fresh paged directory with the given geometry and
 /// reopens nothing — the returned matrix reads through a cache bounded at
@@ -577,6 +578,7 @@ fn paged_twin_with(
         .map(|cell| m.get(cell / m.cols(), cell % m.cols()))
         .collect();
     DataMatrix::builder(m.rows(), m.cols())
+        .storage(m.storage())
         .paged(dir)
         .chunk_rows(chunk_rows)
         .cache_blocks(cache_blocks)
@@ -586,24 +588,29 @@ fn paged_twin_with(
 
 proptest! {
     /// The acceptance sweep: chunk sizes {1, 7, 64} × cache caps
-    /// {1, 4, unbounded} × both gain engines, with a mid-run
-    /// checkpoint/resume on the paged matrix thrown in.
+    /// {1, 4, unbounded} × both gain engines, on one thread, on two, and
+    /// on an f32-storage twin, with a mid-run checkpoint/resume on the
+    /// paged matrix thrown in.
     #[test]
     fn paged_mining_is_bit_identical_for_every_geometry(
         m in arb_mining_matrix(),
         seed in 0u64..1_000_000,
     ) {
-        for engine in [GainEngineKind::Exact, GainEngineKind::Incremental] {
+        let variants = [(ValueStorage::F64, 1), (ValueStorage::F64, 2), (ValueStorage::F32, 1)];
+        let engines = [GainEngineKind::Exact, GainEngineKind::Incremental];
+        for (engine, (storage, threads)) in engines.into_iter().flat_map(|e| variants.map(|v| (e, v))) {
+            let m = m.with_storage(storage).unwrap();
             let config = FlocConfig::builder(2)
                 .alpha(0.5)
                 .seed(seed)
                 .gain_engine(engine)
+                .threads(threads)
                 .build();
             let (full, snapshots) = floc_logged(&m, &config);
 
             for chunk_rows in [1usize, 7, 64] {
                 for cache_blocks in [Some(1), Some(4), None] {
-                    let tag = format!("{engine:?}");
+                    let tag = format!("{engine:?}-{storage:?}-t{threads}");
                     let paged = paged_twin_with(&m, &tag, chunk_rows, cache_blocks);
                     prop_assert_eq!(paged.fingerprint(), m.fingerprint());
 

@@ -11,9 +11,7 @@
 
 use crate::bitset::BitSet;
 use crate::kernels;
-use crate::storage::{
-    extract_bit_range, BackendKind, Chunk, IoStats, PagedError, PagedOptions, PagedStore, Storage,
-};
+use crate::storage::{BackendKind, Chunk, IoStats, PagedError, PagedOptions, PagedStore, Storage};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
@@ -258,7 +256,7 @@ impl Deserialize for Values {
 /// precision the matrix stores ([`ValueStorage`]). Reads widen to `f64`.
 ///
 /// Hot loops should hoist one `ValuesSlice` per line (row or column) via
-/// [`DataMatrix::row_ref`] instead of calling
+/// [`Line::values`] instead of calling
 /// [`DataMatrix::value_unchecked`] per cell: the storage dispatch then
 /// happens once per access on a register-resident discriminant rather than
 /// re-deriving the slice each call.
@@ -997,38 +995,72 @@ impl DataMatrix {
             .sum()
     }
 
-    /// Row slice of raw values (includes zeros at missing positions), as
-    /// `f64` — borrowed when the backend can lend the row (memory matrices
-    /// with `f64` storage), an owned copy otherwise. A thin wrapper over
-    /// [`Self::row_ref`]; hot loops should hold the [`RowRef`] itself.
-    #[doc(alias = "row_slice")]
-    #[inline]
-    pub fn row_values(&self, row: usize) -> Cow<'_, [f64]> {
-        self.row_ref(row).to_f64()
+    /// Row `row` as a [`Line`]: its raw values and specification words,
+    /// read once. Borrows the row on the memory backend; on the paged
+    /// backend holds the row's resident block for the line's lifetime.
+    #[inline(always)]
+    pub fn row_of(&self, row: usize) -> Line<'_> {
+        Line {
+            values: self.row_run(row),
+            mask: self.line_index().row_mask(row),
+            len: self.cols,
+        }
     }
 
-    /// Backend-aware handle to row `row`'s raw values in native storage
-    /// precision (zeros at missing positions). On the memory backend this
-    /// borrows the row in place; on the paged backend it holds the row's
-    /// resident block, keeping it alive for the handle's lifetime. The
-    /// cheap, storage-agnostic accessor for hot loops.
-    #[inline]
-    pub fn row_ref(&self, row: usize) -> RowRef<'_> {
+    /// Row `row`'s values alone, which unlike its specification words need
+    /// no line index.
+    #[inline(always)]
+    fn row_run(&self, row: usize) -> LineValues<'_> {
         assert!(row < self.rows, "row {row} out of bounds");
         match &self.values {
-            Store::Memory(v) => RowRef(RowRefRepr::Slice(
-                v.slice(row * self.cols, (row + 1) * self.cols),
-            )),
+            Store::Memory(v) => {
+                LineValues::Borrowed(v.slice(row * self.cols, (row + 1) * self.cols))
+            }
             Store::Paged(p) => {
-                let (chunk, local) = p.row_chunk(row);
-                RowRef(RowRefRepr::Chunk {
-                    chunk,
-                    local_row: local,
-                    cols: self.cols,
-                    _tied: std::marker::PhantomData,
-                })
+                let (chunk, local_row) = p.row_chunk(row);
+                LineValues::Block { chunk, local_row }
             }
         }
+    }
+
+    /// Column `col` as a [`Line`]. Borrows the column-major mirror on the
+    /// memory backend (the first call after construction or mutation pays
+    /// an `O(rows·cols)` transpose); on the paged backend gathers the
+    /// column over every row, reading each block once in ascending order.
+    #[inline]
+    pub fn col_of(&self, col: usize) -> Line<'_> {
+        assert!(col < self.cols, "col {col} out of bounds");
+        let index = self.line_index();
+        let values = match (&self.values, index) {
+            (_, LineIndex::Full(m)) => {
+                LineValues::Borrowed(m.values.slice(col * self.rows, (col + 1) * self.rows))
+            }
+            (Store::Paged(p), LineIndex::Mask(_)) => LineValues::Gathered(p.gather_col(col)),
+            (Store::Memory(_), LineIndex::Mask(_)) => {
+                unreachable!("the memory backend keeps a full mirror")
+            }
+        };
+        Line {
+            values,
+            mask: index.col_mask(col),
+            len: self.rows,
+        }
+    }
+
+    /// Row `row`'s raw values (zeros at missing positions) as `f64` —
+    /// borrowed on the `f64` memory backend, an owned copy otherwise. Reads
+    /// no specification words, so it builds no line index; hot loops
+    /// should hold a [`Line`] from [`Self::row_of`].
+    #[doc(alias = "row_slice")]
+    pub fn row_values(&self, row: usize) -> Cow<'_, [f64]> {
+        self.row_run(row).into_f64()
+    }
+
+    /// Column `col`'s raw values (zeros at missing positions) as `f64`. A
+    /// view of [`Self::col_of`].
+    #[doc(alias = "col_slice")]
+    pub fn col_values(&self, col: usize) -> Cow<'_, [f64]> {
+        self.col_of(col).values.into_f64()
     }
 
     #[inline]
@@ -1041,58 +1073,14 @@ impl DataMatrix {
         })
     }
 
-    /// The full column mirror — only the memory backend has one.
-    #[inline]
-    fn full_mirror(&self) -> Option<&ColMirror> {
-        match self.line_index() {
-            LineIndex::Full(m) => Some(m),
-            LineIndex::Mask(_) => None,
-        }
-    }
-
     /// Forces the lazily-built line index (column-major mirror on the
     /// memory backend, mask index on the paged backend) into existence.
     ///
-    /// The index is built under a `OnceLock` on first column access;
+    /// The index is built under a `OnceLock` on first line access;
     /// callers about to fan work out across threads can pay the transpose
     /// once up front instead of serializing every worker behind the lock.
     pub fn ensure_mirror(&self) {
         let _ = self.line_index();
-    }
-
-    /// Column `col`'s raw values (includes zeros at missing positions) as
-    /// `f64` — borrowed from the column-major mirror on the `f64` memory
-    /// backend, an owned copy otherwise (widening for `f32`; gathered
-    /// across blocks in ascending row order on the paged backend).
-    ///
-    /// On the memory backend the first call after construction or mutation
-    /// pays an `O(rows·cols)` transpose; subsequent calls are free until
-    /// the matrix changes.
-    #[doc(alias = "col_slice")]
-    #[inline]
-    pub fn col_values(&self, col: usize) -> Cow<'_, [f64]> {
-        assert!(col < self.cols, "col {col} out of bounds");
-        match &self.values {
-            Store::Memory(_) => {
-                let mirror = self
-                    .full_mirror()
-                    .expect("memory backend has a full mirror");
-                mirror
-                    .values
-                    .slice(col * self.rows, (col + 1) * self.rows)
-                    .to_f64()
-            }
-            Store::Paged(p) => {
-                let mut out = Vec::with_capacity(self.rows);
-                for index in 0..p.n_chunks() {
-                    let chunk = p.chunk(index);
-                    for local in 0..chunk.n_rows() {
-                        out.push(chunk.value(local, col));
-                    }
-                }
-                Cow::Owned(out)
-            }
-        }
     }
 
     /// Iterates the specified entries of row `row` as `(col, value)` in
@@ -1103,13 +1091,13 @@ impl DataMatrix {
     /// bounds-check + mask-branch + `Option`, which matters in the FLOC
     /// gain loops that visit every entry of a cluster per candidate action.
     pub fn row_specified(&self, row: usize) -> SpecifiedEntries<'_> {
-        self.row_line(row, None)
+        self.row_of(row).into_specified(None)
     }
 
     /// Iterates the specified entries of column `col` as `(row, value)` in
     /// ascending row order.
     pub fn col_specified(&self, col: usize) -> SpecifiedEntries<'_> {
-        self.col_line(col, None)
+        self.col_of(col).into_specified(None)
     }
 
     /// Like [`Self::row_specified`] but restricted to columns in `cols`,
@@ -1119,12 +1107,7 @@ impl DataMatrix {
     /// # Panics
     /// Panics if `cols.capacity() != self.cols()`.
     pub fn row_specified_in<'a>(&'a self, row: usize, cols: &'a BitSet) -> SpecifiedEntries<'a> {
-        assert_eq!(
-            cols.capacity(),
-            self.cols,
-            "column set capacity does not match matrix width"
-        );
-        self.row_line(row, Some(cols.words()))
+        self.row_of(row).into_specified(Some(cols))
     }
 
     /// Like [`Self::col_specified`] but restricted to rows in `rows`.
@@ -1132,151 +1115,29 @@ impl DataMatrix {
     /// # Panics
     /// Panics if `rows.capacity() != self.rows()`.
     pub fn col_specified_in<'a>(&'a self, col: usize, rows: &'a BitSet) -> SpecifiedEntries<'a> {
-        assert_eq!(
-            rows.capacity(),
-            self.rows,
-            "row set capacity does not match matrix height"
-        );
-        self.col_line(col, Some(rows.words()))
-    }
-
-    fn row_line<'a>(&'a self, row: usize, filter: Option<&'a [u64]>) -> SpecifiedEntries<'a> {
-        assert!(row < self.rows, "row {row} out of bounds");
-        let mask = self.line_index().row_mask(row);
-        match &self.values {
-            Store::Memory(v) => SpecifiedEntries(SpecifiedRepr::slice(
-                v.slice(row * self.cols, (row + 1) * self.cols),
-                mask,
-                filter,
-            )),
-            Store::Paged(p) => {
-                let (chunk, local) = p.row_chunk(row);
-                SpecifiedEntries(SpecifiedRepr::chunk_row(chunk, local, mask, filter))
-            }
-        }
-    }
-
-    fn col_line<'a>(&'a self, col: usize, filter: Option<&'a [u64]>) -> SpecifiedEntries<'a> {
-        assert!(col < self.cols, "col {col} out of bounds");
-        match &self.values {
-            Store::Memory(_) => {
-                let mirror = self
-                    .full_mirror()
-                    .expect("memory backend has a full mirror");
-                SpecifiedEntries(SpecifiedRepr::slice(
-                    mirror.values.slice(col * self.rows, (col + 1) * self.rows),
-                    mirror.col_mask(col),
-                    filter,
-                ))
-            }
-            Store::Paged(p) => {
-                // Gather eagerly, walking selected rows in ascending order;
-                // consecutive rows share a block, so each block decodes at
-                // most once per call even under a 1-block cache.
-                let mask = self.line_index().col_mask(col);
-                let mut out = Vec::new();
-                let mut held: Option<(usize, Arc<Chunk>)> = None;
-                for (wi, &mword) in mask.iter().enumerate() {
-                    let mut w = match filter {
-                        None => mword,
-                        Some(f) => mword & f[wi],
-                    };
-                    while w != 0 {
-                        let r = wi * WORD_BITS + w.trailing_zeros() as usize;
-                        w &= w - 1;
-                        let index = r / p.chunk_rows();
-                        if held.as_ref().map(|(i, _)| *i) != Some(index) {
-                            held = Some((index, p.chunk(index)));
-                        }
-                        let chunk = &held.as_ref().expect("just set").1;
-                        out.push((r, chunk.value(r % p.chunk_rows(), col)));
-                    }
-                }
-                SpecifiedEntries(SpecifiedRepr::Buffered(out.into_iter()))
-            }
-        }
+        self.col_of(col).into_specified(Some(rows))
     }
 
     /// Sum and count of the specified entries of row `row` restricted to
-    /// `cols`, via the word-block kernel (no per-entry iteration). The sum
-    /// is bit-identical to folding [`Self::row_specified_in`] on every
-    /// backend.
+    /// `cols`: [`Line::stats_in`] of [`Self::row_of`].
     ///
     /// # Panics
     /// Panics if `cols.capacity() != self.cols()`.
     pub fn row_stats_in(&self, row: usize, cols: &BitSet) -> (f64, u32) {
-        assert!(row < self.rows, "row {row} out of bounds");
-        assert_eq!(
-            cols.capacity(),
-            self.cols,
-            "column set capacity does not match matrix width"
-        );
-        let mask = self.line_index().row_mask(row);
-        let row_ref = self.row_ref(row);
-        kernels::masked_sum_count(row_ref.as_slice(), mask, Some(cols.words()))
+        self.row_of(row).stats_in(cols)
     }
 
     /// Sum and count of the specified entries of column `col` restricted to
-    /// `rows`, via the word-block kernel.
-    ///
-    /// On the memory backend this scans the column-major mirror in one
-    /// pass. On the paged backend it walks the column's blocks in ascending
-    /// row order, *carrying the running accumulator into each block's
-    /// kernel call* — which reproduces the exact addition sequence of the
-    /// single-pass fold, so the result is bit-identical to the memory
-    /// backend for any chunk size and cache cap. Blocks with no selected
-    /// rows are skipped without touching disk (the filter is intersected
-    /// against resident mask words first).
+    /// `rows`: [`Line::stats_in`] of [`Self::col_of`].
     ///
     /// # Panics
     /// Panics if `rows.capacity() != self.rows()`.
     pub fn col_stats_in(&self, col: usize, rows: &BitSet) -> (f64, u32) {
-        assert!(col < self.cols, "col {col} out of bounds");
-        assert_eq!(
-            rows.capacity(),
-            self.rows,
-            "row set capacity does not match matrix height"
-        );
-        match &self.values {
-            Store::Memory(_) => {
-                let mirror = self
-                    .full_mirror()
-                    .expect("memory backend has a full mirror");
-                kernels::masked_sum_count(
-                    mirror.values.slice(col * self.rows, (col + 1) * self.rows),
-                    mirror.col_mask(col),
-                    Some(rows.words()),
-                )
-            }
-            Store::Paged(p) => {
-                let mut acc = (0.0, 0u32);
-                let mut local_filter = Vec::new();
-                for index in 0..p.n_chunks() {
-                    let (start, n) = p.chunk_span(index);
-                    if !extract_bit_range(rows.words(), start, n, &mut local_filter) {
-                        continue;
-                    }
-                    let chunk = p.chunk(index);
-                    let mirror = chunk.mirror(&self.mask);
-                    acc = kernels::masked_sum_count_from(
-                        acc,
-                        mirror.col_slice(col, n),
-                        mirror.col_mask(col),
-                        Some(&local_filter),
-                    );
-                }
-                acc
-            }
-        }
+        self.col_of(col).stats_in(rows)
     }
 
     /// Residue contribution of row `row` restricted to `cols`:
-    /// `Σ term(v − row_base − col_bases[c] + base)` over the selected
-    /// entries, with `term = |·|` (`squared = false`) or `(·)²`. Runs the
-    /// branch-free word-block kernel; the result is bit-identical to the
-    /// per-entry formulation.
-    ///
-    /// `col_bases` lanes outside the selection may hold anything finite.
+    /// [`Line::residue_in`] of [`Self::row_of`].
     ///
     /// # Panics
     /// Panics if `cols.capacity() != self.cols()` or
@@ -1290,22 +1151,14 @@ impl DataMatrix {
         base: f64,
         squared: bool,
     ) -> f64 {
-        assert!(row < self.rows, "row {row} out of bounds");
-        assert_eq!(
-            cols.capacity(),
-            self.cols,
-            "column set capacity does not match matrix width"
-        );
-        assert!(
-            col_bases.len() >= self.cols,
-            "col_bases must cover every column"
-        );
+        // The exact scanners call this once per member row, so it reads the
+        // row's values and mask words without assembling a `Line`, which
+        // measured about 40% slower per call.
         let mask = self.line_index().row_mask(row);
-        let row_ref = self.row_ref(row);
-        kernels::masked_residue(
-            row_ref.as_slice(),
+        line_residue(
+            self.row_run(row).slice(),
             mask,
-            Some(cols.words()),
+            cols,
             row_base,
             col_bases,
             base,
@@ -1402,184 +1255,236 @@ impl DataMatrix {
     }
 }
 
-/// Backend-aware handle to one row's raw values in native storage
-/// precision, produced by [`DataMatrix::row_ref`].
+/// One matrix line — a row or a column — read once: its raw values in
+/// native storage precision (zeros at missing cells) and its specification
+/// words. Produced by [`DataMatrix::row_of`] and [`DataMatrix::col_of`].
 ///
-/// On the memory backend it is a plain borrow of the row; on the paged
-/// backend it holds the row's resident block (`Arc`), keeping the block
-/// alive — and its values addressable — for the handle's lifetime. Either
-/// way [`RowRef::get`] is a direct indexed load, so hot loops hoist one
-/// `RowRef` per row instead of calling [`DataMatrix::value_unchecked`] per
-/// cell.
-pub struct RowRef<'a>(RowRefRepr<'a>);
-
-enum RowRefRepr<'a> {
-    Slice(ValuesSlice<'a>),
-    Chunk {
-        chunk: Arc<Chunk>,
-        local_row: usize,
-        cols: usize,
-        // The handle logically borrows the matrix even though the block is
-        // owned: mutation through `&mut DataMatrix` must invalidate it.
-        _tied: std::marker::PhantomData<&'a ()>,
-    },
+/// On the memory backend a line borrows: a row its run of the row-major
+/// array, a column its run of the column-major mirror. On the paged backend
+/// a row holds its resident block (an `Arc`, so eviction cannot pull the
+/// values away), and a column is gathered into an owned run, reading every
+/// block once in ascending row order. Either way every accessor is a direct
+/// indexed load, so a caller that hands one `Line` to several consumers
+/// reads the backend once.
+///
+/// Every reduction folds the selected entries in ascending index order
+/// with the same word-block kernels on either backend, so a line's sums
+/// are bit-identical whichever backend produced it.
+pub struct Line<'a> {
+    values: LineValues<'a>,
+    /// Bit `i` set ⇔ entry `i` of the line is specified.
+    mask: &'a [u64],
+    len: usize,
 }
 
-impl<'a> RowRef<'a> {
-    /// Number of values in the row (the matrix width).
+enum LineValues<'a> {
+    Borrowed(ValuesSlice<'a>),
+    Block { chunk: Arc<Chunk>, local_row: usize },
+    Gathered(Values),
+}
+
+impl<'a> LineValues<'a> {
     #[inline]
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            RowRefRepr::Slice(s) => s.len(),
-            RowRefRepr::Chunk { cols, .. } => *cols,
+    fn slice(&self) -> ValuesSlice<'_> {
+        match self {
+            LineValues::Borrowed(s) => *s,
+            LineValues::Block { chunk, local_row } => chunk.row_slice(*local_row),
+            LineValues::Gathered(v) => v.slice(0, v.len()),
         }
     }
 
-    /// True when the row has no columns.
+    /// The values as `f64`: borrowed when they are borrowed `f64`s, an
+    /// owned (widening) copy otherwise.
+    fn into_f64(self) -> Cow<'a, [f64]> {
+        match self {
+            LineValues::Borrowed(s) => s.to_f64(),
+            LineValues::Gathered(Values::F64(v)) => Cow::Owned(v),
+            other => Cow::Owned(other.slice().to_f64().into_owned()),
+        }
+    }
+}
+
+impl<'a> Line<'a> {
+    /// Number of entries in the line (the matrix width for a row, its
+    /// height for a column).
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// The value at column `idx`, widened to `f64`. Missing cells read
-    /// `0.0`.
+    /// True when the line has no entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The line's raw values, contiguous, in native precision — what the
+    /// word-block kernels consume. Missing cells read `0.0`.
+    #[inline]
+    pub fn values(&self) -> ValuesSlice<'_> {
+        self.values.slice()
+    }
+
+    /// The value at `idx`, widened to `f64`. Missing cells read `0.0`.
     ///
     /// # Panics
     /// Panics if `idx` is out of bounds.
     #[inline]
     pub fn get(&self, idx: usize) -> f64 {
-        match &self.0 {
-            RowRefRepr::Slice(s) => s.get(idx),
-            RowRefRepr::Chunk {
-                chunk,
-                local_row,
-                cols,
-                ..
-            } => {
-                assert!(idx < *cols, "column {idx} out of bounds");
-                chunk.value(*local_row, idx)
-            }
-        }
+        self.values().get(idx)
     }
 
-    /// The row as a contiguous [`ValuesSlice`] borrowed from this handle —
-    /// what the residue kernels consume.
+    /// True if entry `idx` is specified.
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of bounds.
     #[inline]
-    pub fn as_slice(&self) -> ValuesSlice<'_> {
-        match &self.0 {
-            RowRefRepr::Slice(s) => *s,
-            RowRefRepr::Chunk {
-                chunk, local_row, ..
-            } => chunk.row_slice(*local_row),
-        }
+    pub fn is_specified(&self, idx: usize) -> bool {
+        assert!(
+            idx < self.len,
+            "index {idx} out of bounds for a line of {}",
+            self.len
+        );
+        (self.mask[idx / WORD_BITS] >> (idx % WORD_BITS)) & 1 != 0
     }
 
-    /// The row as `f64` — borrowed (free) when the backend lends `f64`
-    /// values in place, an owned widening/gathering copy otherwise. The
-    /// `Cow` carries the *matrix* lifetime, so it outlives the handle.
-    pub fn to_f64(&self) -> Cow<'a, [f64]> {
-        match &self.0 {
-            RowRefRepr::Slice(s) => s.to_f64(),
-            RowRefRepr::Chunk {
-                chunk,
-                local_row,
-                cols,
-                ..
-            } => Cow::Owned((0..*cols).map(|c| chunk.value(*local_row, c)).collect()),
-        }
+    #[inline]
+    fn filter_words<'s>(&self, set: &'s BitSet) -> &'s [u64] {
+        assert_eq!(
+            set.capacity(),
+            self.len,
+            "filter set capacity does not match the line length"
+        );
+        set.words()
     }
+
+    /// Iterates the specified entries with index in `set` as
+    /// `(index, value)`, in ascending index order.
+    ///
+    /// # Panics
+    /// Panics if `set.capacity() != self.len()`.
+    #[inline]
+    pub fn specified_in<'s>(&'s self, set: &'s BitSet) -> SpecifiedEntries<'s> {
+        let filter = self.filter_words(set);
+        SpecifiedEntries::new(Source::Slice(self.values()), self.mask, Some(filter))
+    }
+
+    /// Sum and count of the specified entries with index in `set`, via the
+    /// word-block kernel. Bit-identical to folding [`Self::specified_in`].
+    ///
+    /// # Panics
+    /// Panics if `set.capacity() != self.len()`.
+    #[inline]
+    pub fn stats_in(&self, set: &BitSet) -> (f64, u32) {
+        kernels::masked_sum_count(self.values(), self.mask, Some(self.filter_words(set)))
+    }
+
+    /// Residue contribution of the specified entries with index in `set`:
+    /// `Σ term(v − line_base − cross_bases[i] + base)`, with `term = |·|`
+    /// (`squared = false`) or `(·)²`. Runs the branch-free word-block
+    /// kernel; the result is bit-identical to the per-entry formulation.
+    /// `cross_bases` lanes outside `set` may hold anything finite.
+    ///
+    /// # Panics
+    /// Panics if `set.capacity() != self.len()` or
+    /// `cross_bases.len() < self.len()`.
+    #[inline]
+    pub fn residue_in(
+        &self,
+        set: &BitSet,
+        line_base: f64,
+        cross_bases: &[f64],
+        base: f64,
+        squared: bool,
+    ) -> f64 {
+        let values = self.values();
+        line_residue(
+            values,
+            self.mask,
+            set,
+            line_base,
+            cross_bases,
+            base,
+            squared,
+        )
+    }
+
+    /// Iterates the line's specified entries, restricted to `filter` when
+    /// given, keeping the line alive inside the iterator.
+    fn into_specified(self, filter: Option<&'a BitSet>) -> SpecifiedEntries<'a> {
+        let filter = filter.map(|set| self.filter_words(set));
+        let mask = self.mask;
+        let source = match self.values {
+            LineValues::Borrowed(s) => Source::Slice(s),
+            _ => Source::Line(self),
+        };
+        SpecifiedEntries::new(source, mask, filter)
+    }
+}
+
+/// The residue kernel over one line's values and specification words,
+/// restricted to `set`; see [`Line::residue_in`].
+#[inline]
+fn line_residue(
+    values: ValuesSlice<'_>,
+    mask: &[u64],
+    set: &BitSet,
+    line_base: f64,
+    cross_bases: &[f64],
+    base: f64,
+    squared: bool,
+) -> f64 {
+    assert_eq!(
+        set.capacity(),
+        values.len(),
+        "filter set capacity does not match the line length"
+    );
+    assert!(
+        cross_bases.len() >= values.len(),
+        "cross bases must cover every entry of the line"
+    );
+    let filter = Some(set.words());
+    kernels::masked_residue(values, mask, filter, line_base, cross_bases, base, squared)
 }
 
 /// Iterator over the specified entries of one matrix line (a row or a
 /// column) as `(index, value)` pairs in ascending index order.
 ///
-/// Produced by [`DataMatrix::row_specified`] / [`DataMatrix::col_specified`]
-/// and their `_in` variants. On the memory backend it walks word-packed
-/// specification masks with `trailing_zeros` over a contiguous value slice,
-/// so missing entries and filtered-out indices cost nothing per element; on
-/// the paged backend rows walk their resident block the same way, while
-/// columns gather eagerly across blocks at construction.
-pub struct SpecifiedEntries<'a>(SpecifiedRepr<'a>);
-
-enum SpecifiedRepr<'a> {
-    Slice {
-        values: ValuesSlice<'a>,
-        mask: &'a [u64],
-        filter: Option<&'a [u64]>,
-        word_idx: usize,
-        current: u64,
-    },
-    ChunkRow {
-        chunk: Arc<Chunk>,
-        local_row: usize,
-        mask: &'a [u64],
-        filter: Option<&'a [u64]>,
-        word_idx: usize,
-        current: u64,
-    },
-    Buffered(std::vec::IntoIter<(usize, f64)>),
+/// Produced by [`Line::specified_in`], [`DataMatrix::row_specified`] /
+/// [`DataMatrix::col_specified`] and their `_in` variants. It walks the
+/// line's word-packed specification mask with `trailing_zeros`, so missing
+/// entries and filtered-out indices cost nothing per element.
+pub struct SpecifiedEntries<'a> {
+    source: Source<'a>,
+    mask: &'a [u64],
+    filter: Option<&'a [u64]>,
+    word_idx: usize,
+    current: u64,
 }
 
-impl<'a> SpecifiedRepr<'a> {
-    fn first_word(mask: &[u64], filter: Option<&[u64]>) -> u64 {
+/// Where [`SpecifiedEntries`] reads values: a borrowed run, or a line the
+/// iterator keeps alive (a paged row's block, a gathered column).
+enum Source<'a> {
+    Slice(ValuesSlice<'a>),
+    Line(Line<'a>),
+}
+
+impl<'a> SpecifiedEntries<'a> {
+    #[inline]
+    fn new(source: Source<'a>, mask: &'a [u64], filter: Option<&'a [u64]>) -> Self {
         debug_assert!(filter.is_none_or(|f| f.len() == mask.len()));
-        match (mask.first(), filter) {
+        let current = match (mask.first(), filter) {
             (Some(&m), None) => m,
             (Some(&m), Some(f)) => m & f[0],
             (None, _) => 0,
-        }
-    }
-
-    fn slice(values: ValuesSlice<'a>, mask: &'a [u64], filter: Option<&'a [u64]>) -> Self {
-        SpecifiedRepr::Slice {
-            values,
-            mask,
-            filter,
-            word_idx: 0,
-            current: Self::first_word(mask, filter),
-        }
-    }
-
-    fn chunk_row(
-        chunk: Arc<Chunk>,
-        local_row: usize,
-        mask: &'a [u64],
-        filter: Option<&'a [u64]>,
-    ) -> Self {
-        SpecifiedRepr::ChunkRow {
-            chunk,
-            local_row,
-            mask,
-            filter,
-            word_idx: 0,
-            current: Self::first_word(mask, filter),
-        }
-    }
-}
-
-/// Advances one word-walk step: returns the next set bit index, refilling
-/// `current` from `mask & filter` word by word.
-#[inline]
-fn next_set_index(
-    mask: &[u64],
-    filter: Option<&[u64]>,
-    word_idx: &mut usize,
-    current: &mut u64,
-) -> Option<usize> {
-    loop {
-        if *current != 0 {
-            let bit = current.trailing_zeros() as usize;
-            *current &= *current - 1; // clear lowest set bit
-            return Some(*word_idx * WORD_BITS + bit);
-        }
-        *word_idx += 1;
-        if *word_idx >= mask.len() {
-            return None;
-        }
-        *current = match filter {
-            None => mask[*word_idx],
-            Some(f) => mask[*word_idx] & f[*word_idx],
         };
+        SpecifiedEntries {
+            source,
+            mask,
+            filter,
+            word_idx: 0,
+            current,
+        }
     }
 }
 
@@ -1588,30 +1493,26 @@ impl Iterator for SpecifiedEntries<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(usize, f64)> {
-        match &mut self.0 {
-            SpecifiedRepr::Slice {
-                values,
-                mask,
-                filter,
-                word_idx,
-                current,
-            } => {
-                let idx = next_set_index(mask, *filter, word_idx, current)?;
-                Some((idx, values.get(idx)))
+        let idx = loop {
+            if self.current != 0 {
+                let bit = self.current.trailing_zeros() as usize;
+                self.current &= self.current - 1; // clear lowest set bit
+                break self.word_idx * WORD_BITS + bit;
             }
-            SpecifiedRepr::ChunkRow {
-                chunk,
-                local_row,
-                mask,
-                filter,
-                word_idx,
-                current,
-            } => {
-                let idx = next_set_index(mask, *filter, word_idx, current)?;
-                Some((idx, chunk.value(*local_row, idx)))
+            self.word_idx += 1;
+            if self.word_idx >= self.mask.len() {
+                return None;
             }
-            SpecifiedRepr::Buffered(iter) => iter.next(),
-        }
+            self.current = match self.filter {
+                None => self.mask[self.word_idx],
+                Some(f) => self.mask[self.word_idx] & f[self.word_idx],
+            };
+        };
+        let value = match &self.source {
+            Source::Slice(s) => s.get(idx),
+            Source::Line(line) => line.get(idx),
+        };
+        Some((idx, value))
     }
 }
 
@@ -2024,7 +1925,7 @@ mod tests {
         assert_ne!(m.get(0, 0), Some(INEXACT), "narrowing is observable");
         // Every read path agrees on the narrowed value.
         assert_eq!(m.value_unchecked(0, 0), INEXACT as f32 as f64);
-        assert_eq!(m.row_ref(0).get(0), INEXACT as f32 as f64);
+        assert_eq!(m.row_of(0).get(0), INEXACT as f32 as f64);
         assert_eq!(m.row_values(0)[0], INEXACT as f32 as f64);
         assert_eq!(
             m.row_specified(0).collect::<Vec<_>>(),

@@ -75,36 +75,14 @@ pub(crate) fn masked_sum_count(
     mask: &[u64],
     filter: Option<&[u64]>,
 ) -> (f64, u32) {
-    masked_sum_count_from((0.0, 0), values, mask, filter)
-}
-
-/// Like [`masked_sum_count`] but continues accumulating from `acc`.
-///
-/// This is what keeps chunked (paged) column reductions bit-identical to the
-/// single-pass in-memory reduction: every kernel folds selected lanes in
-/// ascending index order, so carrying the running `(sum, count)` into the
-/// next chunk's call reproduces the exact same sequence of f64 additions —
-/// whereas summing per-chunk partials and combining them would re-associate
-/// the adds and round differently.
-pub(crate) fn masked_sum_count_from(
-    acc: (f64, u32),
-    values: ValuesSlice<'_>,
-    mask: &[u64],
-    filter: Option<&[u64]>,
-) -> (f64, u32) {
     match values {
-        ValuesSlice::F64(v) => sum_count(acc, v, mask, filter),
-        ValuesSlice::F32(v) => sum_count(acc, v, mask, filter),
+        ValuesSlice::F64(v) => sum_count(v, mask, filter),
+        ValuesSlice::F32(v) => sum_count(v, mask, filter),
     }
 }
 
-fn sum_count<T: Scalar>(
-    acc: (f64, u32),
-    values: &[T],
-    mask: &[u64],
-    filter: Option<&[u64]>,
-) -> (f64, u32) {
-    let (mut sum, mut count) = acc;
+fn sum_count<T: Scalar>(values: &[T], mask: &[u64], filter: Option<&[u64]>) -> (f64, u32) {
+    let (mut sum, mut count) = (0.0, 0u32);
     for wi in 0..mask.len() {
         let word = select(mask, filter, wi);
         if word == 0 {
@@ -213,13 +191,8 @@ mod tests {
 
     // Naive per-bit oracles the kernels must match bit for bit.
 
-    fn naive_sum_count(
-        acc: (f64, u32),
-        values: &[f64],
-        mask: &[u64],
-        filter: Option<&[u64]>,
-    ) -> (f64, u32) {
-        let (mut sum, mut count) = acc;
+    fn naive_sum_count(values: &[f64], mask: &[u64], filter: Option<&[u64]>) -> (f64, u32) {
+        let (mut sum, mut count) = (0.0, 0);
         for (i, &v) in values.iter().enumerate() {
             let m = mask[i / 64] >> (i % 64) & 1 != 0;
             let f = filter.is_none_or(|f| f[i / 64] >> (i % 64) & 1 != 0);
@@ -248,8 +221,8 @@ mod tests {
         let mask = words_of(&mask_bits, n);
         let filter = words_of(&filter_bits, n);
         for f in [None, Some(filter.as_slice())] {
-            let (s, c) = sum_count((0.0, 0), &values, &mask, f);
-            let (es, ec) = naive_sum_count((0.0, 0), &values, &mask, f);
+            let (s, c) = sum_count(&values, &mask, f);
+            let (es, ec) = naive_sum_count(&values, &mask, f);
             assert_eq!(s.to_bits(), es.to_bits(), "sum must be bit-identical");
             assert_eq!(c, ec);
         }
@@ -260,8 +233,8 @@ mod tests {
         let n = 192; // exactly three full words
         let values: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let mask = vec![u64::MAX; 3];
-        let (s, c) = sum_count((0.0, 0), &values, &mask, None);
-        let (es, ec) = naive_sum_count((0.0, 0), &values, &mask, None);
+        let (s, c) = sum_count(&values, &mask, None);
+        let (es, ec) = naive_sum_count(&values, &mask, None);
         assert_eq!(s.to_bits(), es.to_bits());
         assert_eq!(c, ec);
         assert_eq!(c, 192);
@@ -303,8 +276,8 @@ mod tests {
         for keep in [5usize, 48, SPARSE_LANES as usize] {
             let mask_bits: Vec<usize> = (0..n).filter(|i| (i * 31) % 64 < keep).collect();
             let mask = words_of(&mask_bits, n);
-            let (s, c) = sum_count((0.0, 0), &values, &mask, None);
-            let (es, ec) = naive_sum_count((0.0, 0), &values, &mask, None);
+            let (s, c) = sum_count(&values, &mask, None);
+            let (es, ec) = naive_sum_count(&values, &mask, None);
             assert_eq!(s.to_bits(), es.to_bits(), "keep={keep}");
             assert_eq!(c, ec, "keep={keep}");
             for squared in [false, true] {
@@ -337,28 +310,8 @@ mod tests {
         let widened: Vec<f64> = values_f32.iter().map(|&v| v as f64).collect();
         let mask = vec![0b1111u64];
         let (s32, c32) = masked_sum_count(ValuesSlice::F32(&values_f32), &mask, None);
-        let (s64, c64) = sum_count((0.0, 0), &widened, &mask, None);
+        let (s64, c64) = sum_count(&widened, &mask, None);
         assert_eq!(s32.to_bits(), s64.to_bits());
         assert_eq!(c32, c64);
-    }
-
-    #[test]
-    fn carried_accumulator_reproduces_the_single_pass_fold() {
-        // Chunked reduction: carrying (sum, count) into per-chunk calls must
-        // land on the single-pass result bit for bit — this is the invariant
-        // the paged backend's column kernels rely on.
-        let n = 256;
-        let values: Vec<f64> = (0..n)
-            .map(|i| ((i * 13) % 89) as f64 * 0.37 - 11.0)
-            .collect();
-        let mask_bits: Vec<usize> = (0..n).filter(|i| i % 5 != 2).collect();
-        let mask = words_of(&mask_bits, n);
-        let single = sum_count((0.0, 0), &values, &mask, None);
-        let mut acc = (0.0, 0);
-        for w in 0..4 {
-            acc = sum_count(acc, &values[w * 64..(w + 1) * 64], &mask[w..w + 1], None);
-        }
-        assert_eq!(single.0.to_bits(), acc.0.to_bits());
-        assert_eq!(single.1, acc.1);
     }
 }

@@ -61,7 +61,7 @@ pub mod view;
 
 pub use atomic::{atomic_write, atomic_write_with, temp_sibling};
 pub use bitset::BitSet;
-pub use dense::{DataMatrix, RowRef, SpecifiedEntries, StorageError, ValueStorage, ValuesSlice};
+pub use dense::{DataMatrix, Line, SpecifiedEntries, StorageError, ValueStorage, ValuesSlice};
 pub use framing::FrameError;
 pub use io::{IoError, NonFinitePolicy, ParseError};
 pub use stats::{validate, Summary, ValidationReport};

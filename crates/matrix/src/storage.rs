@@ -16,18 +16,19 @@
 //!   what lets the word-masked kernels skip absent blocks without touching
 //!   disk.
 //!
-//! # Bit-identity
+//! # Lines and bit-identity
 //!
-//! A paged matrix computes *bit-identical* statistics to its in-memory twin
-//! for any chunk size and any cache cap. Row operations read one contiguous
-//! row inside one chunk — trivially identical. Column reductions walk chunks
-//! in ascending row order and **carry the running accumulator into each
-//! chunk's kernel call** (`kernels::masked_sum_count_from`): every
-//! kernel folds selected lanes in ascending index order, so the chunked walk
-//! reproduces the exact sequence of f64 additions of the single in-memory
-//! pass. Summing per-chunk partials and combining them afterwards would
-//! re-associate the additions and round differently — that is the one design
-//! everything here avoids.
+//! Reads go through [`crate::Line`]s. A row line holds its resident chunk
+//! (an `Arc`, so eviction cannot pull the values away) and reads one
+//! contiguous row inside it. A column line is gathered over every chunk in
+//! ascending row order, each chunk read once, into one owned run in the
+//! matrix's precision; narrowing a widened `f32` back is exact. Both then
+//! run the same word-block kernels as the memory backend, which fold the
+//! selected entries in ascending index order, so a paged matrix computes
+//! *bit-identical* statistics to its in-memory twin for any chunk size and
+//! any cache cap. Summing per-chunk partials and combining them afterwards
+//! would re-associate the additions and round differently — that is the
+//! one design everything here avoids.
 //!
 //! # Durability and error policy
 //!
@@ -39,13 +40,15 @@
 //! file, or an I/O failure is an `Err`, never a panic. After a successful
 //! verified open, the hot accessors stay infallible: a block that fails to
 //! load *later* (external corruption or device failure mid-run) panics with
-//! the offending path, because the accessor API (`row_ref`, `col_values`…)
+//! the offending path, because the accessor API (`row_of`, `col_of`…)
 //! has no error channel by design.
 //!
 //! Mutations (`set`, appends) land in resident chunks, which are pinned in
 //! the cache (never evicted) until [`crate::DataMatrix::flush`] writes them
 //! back; the metadata file is rewritten on flush, so a crash between flushes
-//! rolls back to the previous consistent state.
+//! rolls back to the previous consistent state. A mutation loads its chunk
+//! and changes it under the cache's one lock: clones of a paged matrix share
+//! the cache, and another handle's miss must not evict the chunk in between.
 
 use crate::atomic::atomic_write;
 use crate::bitset::BitSet;
@@ -54,7 +57,7 @@ use crate::framing::{FrameError, Reader, Writer};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 const META_MAGIC: [u8; 4] = *b"DCPM";
 const CHUNK_MAGIC: [u8; 4] = *b"DCPB";
@@ -244,39 +247,11 @@ fn storage_from_tag(tag: u8, path: &Path) -> Result<ValueStorage, PagedError> {
     }
 }
 
-// ---- chunk-local bit extraction -------------------------------------------
-
-/// Copies bits `[start, start + n)` of `src` (global word layout) into
-/// `dst`, re-based so bit `i` of `dst` is global bit `start + i`. `dst` is
-/// resized to `ceil(n / 64)` words. Returns `true` if any bit is set —
-/// callers skip loading a chunk whose extracted filter is empty.
-pub(crate) fn extract_bit_range(src: &[u64], start: usize, n: usize, dst: &mut Vec<u64>) -> bool {
-    dst.clear();
-    dst.resize(n.div_ceil(WORD_BITS), 0);
-    let mut any = false;
-    for (li, slot) in dst.iter_mut().enumerate() {
-        let bit0 = start + li * WORD_BITS;
-        let w = bit0 / WORD_BITS;
-        let off = bit0 % WORD_BITS;
-        let mut word = src.get(w).copied().unwrap_or(0) >> off;
-        if off != 0 {
-            word |= src.get(w + 1).copied().unwrap_or(0) << (WORD_BITS - off);
-        }
-        let local_tail = n - li * WORD_BITS;
-        if local_tail < WORD_BITS {
-            word &= (1u64 << local_tail) - 1;
-        }
-        *slot = word;
-        any |= word != 0;
-    }
-    any
-}
-
 // ---- chunks ----------------------------------------------------------------
 
 /// One resident block: rows `[start_row, start_row + n_rows)` of the matrix,
-/// row-major, plus a lazily built column-major mirror local to the block.
-#[derive(Debug)]
+/// row-major.
+#[derive(Debug, Clone)]
 pub(crate) struct Chunk {
     index: usize,
     start_row: usize,
@@ -284,39 +259,9 @@ pub(crate) struct Chunk {
     cols: usize,
     /// Row-major values, `n_rows * cols`, zeros at unspecified cells.
     values: Values,
-    /// Lazily built column-major view (values + per-column local masks).
-    mirror: OnceLock<ChunkMirror>,
-}
-
-impl Clone for Chunk {
-    fn clone(&self) -> Self {
-        // `Arc::make_mut` clones before mutating: the derived mirror must
-        // not ride along into a chunk that is about to change.
-        Chunk {
-            index: self.index,
-            start_row: self.start_row,
-            n_rows: self.n_rows,
-            cols: self.cols,
-            values: self.values.clone(),
-            mirror: OnceLock::new(),
-        }
-    }
-}
-
-/// Column-major twin of one chunk: `values[c * n_rows + local_r]`, plus the
-/// chunk-local specification words of each column (bit `local_r`).
-#[derive(Debug)]
-pub(crate) struct ChunkMirror {
-    values: Values,
-    col_words: Vec<u64>,
-    col_stride: usize,
 }
 
 impl Chunk {
-    pub(crate) fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
     /// The row-major values of local row `local_r`.
     pub(crate) fn row_slice(&self, local_r: usize) -> ValuesSlice<'_> {
         debug_assert!(local_r < self.n_rows);
@@ -328,76 +273,6 @@ impl Chunk {
     pub(crate) fn value(&self, local_r: usize, col: usize) -> f64 {
         debug_assert!(local_r < self.n_rows && col < self.cols);
         self.values.get(local_r * self.cols + col)
-    }
-
-    /// The column-major mirror, built on first use from this chunk's values
-    /// and the matrix's global specification mask.
-    pub(crate) fn mirror(&self, mask: &BitSet) -> &ChunkMirror {
-        self.mirror.get_or_init(|| {
-            let col_stride = self.n_rows.div_ceil(WORD_BITS).max(1);
-            let mut col_words = vec![0; self.cols * col_stride];
-            let values = match &self.values {
-                Values::F64(v) => {
-                    Values::F64(self.transpose_specified(v, mask, &mut col_words, col_stride))
-                }
-                Values::F32(v) => {
-                    Values::F32(self.transpose_specified(v, mask, &mut col_words, col_stride))
-                }
-            };
-            ChunkMirror {
-                values,
-                col_words,
-                col_stride,
-            }
-        })
-    }
-
-    /// Column-major copy of the specified cells of `rows` (this chunk's
-    /// row-major values; unspecified cells stay zero). Sets bit `local_r`
-    /// of column `c`'s words in `col_words` for each specified cell. Each
-    /// row's mask bits are scanned a word at a time, so the cost follows
-    /// the specified cells rather than one mask probe per cell.
-    fn transpose_specified<T: Copy + Default>(
-        &self,
-        rows: &[T],
-        mask: &BitSet,
-        col_words: &mut [u64],
-        col_stride: usize,
-    ) -> Vec<T> {
-        let (n_rows, cols) = (self.n_rows, self.cols);
-        let mut out = vec![T::default(); rows.len()];
-        let mut row_bits = Vec::new();
-        for local_r in 0..n_rows {
-            let first = (self.start_row + local_r) * cols;
-            if !extract_bit_range(mask.words(), first, cols, &mut row_bits) {
-                continue;
-            }
-            let row = &rows[local_r * cols..(local_r + 1) * cols];
-            let row_word = local_r / WORD_BITS;
-            let row_bit = 1u64 << (local_r % WORD_BITS);
-            for (wi, &word) in row_bits.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let c = wi * WORD_BITS + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    out[c * n_rows + local_r] = row[c];
-                    col_words[c * col_stride + row_word] |= row_bit;
-                }
-            }
-        }
-        out
-    }
-}
-
-impl ChunkMirror {
-    /// Column `c` of the chunk, contiguous over local rows.
-    pub(crate) fn col_slice(&self, c: usize, n_rows: usize) -> ValuesSlice<'_> {
-        self.values.slice(c * n_rows, (c + 1) * n_rows)
-    }
-
-    /// Chunk-local specification words of column `c` (bit = local row).
-    pub(crate) fn col_mask(&self, c: usize) -> &[u64] {
-        &self.col_words[c * self.col_stride..(c + 1) * self.col_stride]
     }
 }
 
@@ -490,7 +365,6 @@ fn decode_chunk(bytes: &[u8], path: &Path, expect: &ChunkExpect) -> Result<Chunk
         n_rows,
         cols: expect.cols,
         values,
-        mirror: OnceLock::new(),
     })
 }
 
@@ -736,26 +610,33 @@ impl PagedStore {
         decode_chunk(&bytes, &path, &self.expect_for(index))
     }
 
-    /// Loads chunk `index` through the LRU cache.
+    /// Makes chunk `index` resident in the locked `cache`, counting the hit
+    /// or miss and marking it most recently used, without enforcing the
+    /// cap. Callers that mutate the chunk do so under the same lock, so no
+    /// other handle's miss can evict it in between.
     ///
     /// # Panics
     /// Panics if the block file fails to read or validate — see the module
     /// docs for the post-open error policy.
-    pub(crate) fn chunk(&self, index: usize) -> Arc<Chunk> {
+    fn load<'c>(&self, cache: &'c mut Cache, index: usize) -> &'c mut Arc<Chunk> {
         debug_assert!(index < self.n_chunks());
-        let mut cache = self.shared.cache.lock().unwrap();
-        if let Some(chunk) = cache.resident.get(&index).cloned() {
+        if cache.resident.contains_key(&index) {
             cache.hits += 1;
-            cache.touch(index);
-            return chunk;
+        } else {
+            cache.misses += 1;
+            let chunk = self
+                .read_chunk(index)
+                .unwrap_or_else(|e| panic!("paged matrix block became unreadable after open: {e}"));
+            cache.resident.insert(index, Arc::new(chunk));
         }
-        cache.misses += 1;
-        let chunk =
-            Arc::new(self.read_chunk(index).unwrap_or_else(|e| {
-                panic!("paged matrix block became unreadable after open: {e}")
-            }));
-        cache.resident.insert(index, chunk.clone());
         cache.touch(index);
+        cache.resident.get_mut(&index).expect("chunk is resident")
+    }
+
+    /// Loads chunk `index` through the LRU cache.
+    pub(crate) fn chunk(&self, index: usize) -> Arc<Chunk> {
+        let mut cache = self.shared.cache.lock().expect("block cache poisoned");
+        let chunk = self.load(&mut cache, index).clone();
         cache.enforce_cap();
         chunk
     }
@@ -766,6 +647,20 @@ impl PagedStore {
         (self.chunk(row / self.chunk_rows), row % self.chunk_rows)
     }
 
+    /// Column `col` over every row, in native precision: each block is
+    /// read once, in ascending row order.
+    pub(crate) fn gather_col(&self, col: usize) -> Values {
+        let mut out = Values::zeroed(self.storage, 0);
+        for index in 0..self.n_chunks() {
+            let chunk = self.chunk(index);
+            for local in 0..chunk.n_rows {
+                // Narrowing a widened f32 back is exact.
+                out.push(chunk.value(local, col));
+            }
+        }
+        out
+    }
+
     /// Value at flat cell index `idx` (row-major), 0.0 at unspecified cells.
     pub(crate) fn get(&self, idx: usize) -> f64 {
         let (chunk, local) = self.row_chunk(idx / self.cols);
@@ -773,20 +668,18 @@ impl PagedStore {
     }
 
     /// Overwrites the value at flat index `idx` in the resident block,
-    /// marking the block dirty (pinned until flush).
+    /// marking the block dirty (pinned until flush). Loading and mutating
+    /// happen under one lock.
     pub(crate) fn set(&self, idx: usize, value: f64) {
         let row = idx / self.cols;
         let col = idx % self.cols;
         let index = row / self.chunk_rows;
         let local = row % self.chunk_rows;
-        // Ensure resident (loads outside the mutation path if absent).
-        let _ = self.chunk(index);
-        let mut cache = self.shared.cache.lock().unwrap();
-        let arc = cache.resident.get_mut(&index).expect("chunk just loaded");
-        let chunk = Arc::make_mut(arc);
+        let mut cache = self.shared.cache.lock().expect("block cache poisoned");
+        let chunk = Arc::make_mut(self.load(&mut cache, index));
         chunk.values.set(local * chunk.cols + col, value);
-        chunk.mirror.take();
         cache.dirty.insert(index);
+        cache.enforce_cap();
     }
 
     /// Appends one row of values (`row.len() == cols`, `None` = missing,
@@ -810,27 +703,19 @@ impl PagedStore {
                 n_rows: 1,
                 cols: self.cols,
                 values,
-                mirror: OnceLock::new(),
             };
             cache.resident.insert(index, Arc::new(chunk));
             cache.touch(index);
         } else {
-            if !cache.resident.contains_key(&index) {
-                drop(cache);
-                let _ = self.chunk(index);
-                cache = self.shared.cache.lock().unwrap();
-            }
-            cache.touch(index);
-            let arc = cache.resident.get_mut(&index).expect("tail chunk resident");
-            let chunk = Arc::make_mut(arc);
+            let chunk = Arc::make_mut(self.load(&mut cache, index));
             debug_assert_eq!(chunk.n_rows, local);
             for v in row {
                 chunk.values.push(v.unwrap_or(0.0));
             }
             chunk.n_rows += 1;
-            chunk.mirror.take();
         }
         cache.dirty.insert(index);
+        cache.enforce_cap();
         drop(cache);
         self.rows += 1;
     }
@@ -1292,19 +1177,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dc-matrix-storage-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn extract_bit_range_rebases_and_masks_the_tail() {
-        let src = vec![u64::MAX, 0b1011];
-        let mut dst = Vec::new();
-        assert!(extract_bit_range(&src, 62, 5, &mut dst));
-        // bits 62,63 set from word 0; bits 64(→2),65(→3) from word 1: 0b1011
-        // global 64 set, 65 set, 66 clear → local 0b01111? global bits:
-        // 62:1 63:1 64:1 65:1 66:0 → local 0b01111.
-        assert_eq!(dst, vec![0b01111]);
-        assert!(!extract_bit_range(&[0, 0, 0], 70, 64, &mut dst));
-        assert_eq!(dst, vec![0]);
     }
 
     #[test]
