@@ -5,10 +5,9 @@
 //! `(N+M)·k` candidate actions asks "what would cluster `c`'s residue be
 //! with row/column `x` toggled?", and the exact answer
 //! ([`ClusterState::residue_if_row_toggled`]) rescans the whole `|I|·|J|`
-//! submatrix. The [`IncrementalEngine`] answers the same question in
-//! `O(|J|·log|I|)` (row toggles) / `O(|I|·log|J|)` (column toggles) from
-//! per-line sorted indexes, exploiting a structural fact of the residue
-//! model:
+//! submatrix. The [`IncrementalEngine`] answers the same question from one
+//! side of per-line sorted indexes per cluster, exploiting a structural
+//! fact of the residue model:
 //!
 //! Toggling row `x` leaves `J` unchanged, so every other row's base `d_iJ`
 //! is unchanged and `s_ij = d_ij − d_iJ` is *invariant*. The new residue of
@@ -34,28 +33,45 @@
 //! the layout changes no answer, and the arithmetic mean's in-place
 //! repairs write half the bytes.
 //!
+//! ## One side, oriented by shape
+//!
 //! Symmetrically, toggling column `y` leaves every column base `d_Ij`
-//! (`j ≠ y`) unchanged, so per-row sorted arrays of `u_ij = d_ij − d_Ij`
-//! answer column toggles.
+//! unchanged, so lines along rows holding `u_ij = d_ij − d_Ij` answer
+//! column toggles by the same closed form. Each cluster keeps one of the
+//! two sides, chosen by the matrix shape (`Lines::for_shape`): lines
+//! along columns (sorted `s`) when `rows ≥ cols`, along rows (sorted `u`)
+//! otherwise. Toggles *across* the lines — rows on a tall matrix — are
+//! then the more numerous kind, and answer in `O(lines · log)`.
+//!
+//! A toggle *along* the lines — column `y` when lines run along columns —
+//! adds or removes a whole line and moves every row base from `d_iJ` to
+//! `d_iJ′`. Every other entry's new residue is still a stored value plus
+//! two shifts:
+//!
+//! ```text
+//! d_ij − d_iJ′ − d_Ij + d_IJ′  =  s_ij + shift_i − t_j,
+//!     shift_i = d_iJ − d_iJ′,   t_j = d_Ij − d_IJ′
+//! ```
+//!
+//! so one pass over the side's entries, `Σ term(s + shift[id] − t_line)`,
+//! answers it. `shift` comes from the cluster's sums and the target's
+//! line, and the pass reads nothing else from the matrix. It sums in its
+//! own order, so it agrees with the exact scanner to rounding (~1e-12)
+//! rather than bit for bit; closed-form answers are unaffected.
 //!
 //! ## Maintenance across applies
 //!
-//! Applying a row toggle keeps the per-column (`s`) side repairable in
-//! place — only row `x`'s entries enter or leave, every other `s` value is
-//! untouched — but shifts every column base, so the whole per-row (`u`)
-//! side goes *stale* (columns symmetrically). The driver re-decides and
-//! performs the `N+M` actions one after another, so the two kinds of
-//! toggle interleave and the opposite side is invalidated again and again.
-//!
-//! * **Same side:** [`IncrementalEngine::apply`] repairs it in place. Each
-//!   line's insert/remove shifts the sorted arrays and overwrites the
-//!   prefix sums from the changed position on, in the same summation
-//!   order as a fresh build, so a repaired line is bit-identical to a
-//!   rebuilt one.
-//! * **Stale side:** each query goes to the exact scanner
+//! * **Across the lines:** [`IncrementalEngine::apply`] repairs the side
+//!   in place — only the target's entries enter or leave, every other
+//!   stored value is untouched. Each line's insert/remove shifts the
+//!   sorted arrays and overwrites the prefix sums from the changed position
+//!   on, in the same summation order as a fresh build, so a repaired line
+//!   is bit-identical to a rebuilt one.
+//! * **Along the lines:** every stored value shifts, so the side goes
+//!   *stale*. Queries of either kind then go to the exact scanner
 //!   ([`ClusterState::residue_if_row_toggled`] /
 //!   [`ClusterState::residue_if_col_toggled`]) until the side has answered
-//!   `STALE_SCANS` queries since it last went stale; only then does
+//!   `STALE_SCANS` of them since it last went stale; only then does
 //!   [`IncrementalEngine::prepare`] rebuild it. A side that is invalidated
 //!   again within that many queries is never rebuilt, and one that keeps
 //!   being queried pays at most `STALE_SCANS` scans on top of the rebuild.
@@ -66,11 +82,11 @@
 //! A query, [`IncrementalEngine::apply`] and the matching
 //! [`ClusterState`] toggle all take the target's [`dc_matrix::Line`]
 //! ([`Target::line`]), so one action reads its target once, however many
-//! clusters score it. Rebuilds read the cluster row by row, the per-column
-//! side included (it buckets entries by column in one row-major pass), so
-//! on the paged backend a rebuild reads each block once rather than once
-//! per column. Each build worker and each lane's engine owns one bucket
-//! buffer (`Buckets`) for every rebuild it runs.
+//! clusters score it. Rebuilds read the cluster row by row in either
+//! orientation — lines along columns bucket the entries by column in one
+//! row-major pass — so on the paged backend a rebuild reads each block
+//! once rather than once per column. Each build worker and each lane's
+//! engine owns one bucket buffer (`Buckets`) for every rebuild it runs.
 //!
 //! The driver rebuilds the whole engine from the canonical cluster states
 //! at every iteration boundary — the *drift guard* that keeps long runs
@@ -78,7 +94,7 @@
 
 use crate::action::{Action, Target};
 use crate::residue::ResidueMean;
-use crate::stats::{ClusterState, Scratch};
+use crate::stats::{Axis, ClusterState, Scratch};
 use dc_matrix::{DataMatrix, Line};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -93,11 +109,12 @@ pub const AUTO_INCREMENTAL_CELLS: usize = 10_000;
 /// the cluster submatrix; a rebuild is that pass plus a sort of every line,
 /// so a side invalidated again within this many queries is cheaper never
 /// rebuilt, and one that is not costs at most this many scans extra.
-/// Chosen from 1, 2, 3, 4, 8 and 16 on the benchmark's mine-large and
-/// mine-fig8 workloads (2-vCPU x86-64 host): fig8's lazy rebuilds fall
-/// from ~3,000 at 1 to ~830 at 4, while from 8 on the extra scans of
-/// mine-large's big clusters add a fifth or more to its gain evaluation;
-/// 2–4 measured alike end to end.
+/// Queries of both toggle kinds count. Re-checked at 2, 4 and 8 with one
+/// index side per cluster on the benchmark's mine workloads (2-vCPU
+/// x86-64 host, `latency_ms`): 8 lost to 4 on mine-large (2,147 vs
+/// 1,711 ms) and mine-paged (154 vs 113 ms). 2 beat 4 on mine-large (1,358–1,612 vs 1,452–1,711 ms over three pairs)
+/// and mine-paged (94–97 vs 106–117 ms) but not on mine-fig8 (median of
+/// five 732 vs 708 ms), so 4 stays.
 const STALE_SCANS: u32 = 4;
 
 /// Which engine drives phase-2 gain evaluation (selected in
@@ -141,14 +158,73 @@ impl std::fmt::Display for GainEngineKind {
     }
 }
 
+/// Which way a cluster's index lines run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lines {
+    /// One line per column, holding the sorted `s_ij = d_ij − d_iJ` of its
+    /// rows: closed-form row toggles, streamed column toggles.
+    Cols,
+    /// One line per row, holding the sorted `u_ij = d_ij − d_Ij` of its
+    /// columns: closed-form column toggles, streamed row toggles.
+    Rows,
+}
+
+impl Lines {
+    /// One line per member of the shorter axis — per column when
+    /// `rows ≥ cols`, per row otherwise — so the toggles across the lines,
+    /// the closed-form kind, are the more numerous.
+    pub(crate) fn for_shape(rows: usize, cols: usize) -> Lines {
+        if rows >= cols {
+            Lines::Cols
+        } else {
+            Lines::Rows
+        }
+    }
+
+    /// The cluster's `(line axis, entry axis)`: the axis whose members own
+    /// a line, and the axis the line's entry ids come from.
+    fn axes(self, st: &ClusterState) -> (Axis<'_>, Axis<'_>) {
+        match self {
+            Lines::Cols => (st.col_axis(), st.row_axis()),
+            Lines::Rows => (st.row_axis(), st.col_axis()),
+        }
+    }
+
+    /// Whether `target` toggles across the lines (an entry-axis member)
+    /// rather than along them (a whole line).
+    fn across(self, target: Target) -> bool {
+        target.is_row() == (self == Lines::Cols)
+    }
+}
+
+/// The residue term of a cell that enters the cluster with the toggled
+/// target: `v − d_i − d_j + base`, with the target's own base on its axis
+/// and `other` on the other, in the exact scanner's order.
+#[inline]
+fn entering_term(
+    mean: ResidueMean,
+    target: Target,
+    v: f64,
+    own: f64,
+    other: f64,
+    base: f64,
+) -> f64 {
+    let (row_base, col_base) = if target.is_row() {
+        (own, other)
+    } else {
+        (other, own)
+    };
+    mean.entry_term(v - row_base - col_base + base)
+}
+
 /// Sorted shift-invariant residues of one matrix line (a column's `s`
 /// values or a row's `u` values) with prefix partial sums.
 #[derive(Debug, Clone, Default)]
 struct DimIndex {
     /// Invariant residues, ascending (ties broken by id).
     vals: Vec<f64>,
-    /// Row id (in a per-column index) / column id (per-row), aligned with
-    /// `vals`.
+    /// Entry-axis id (row id on a column line, column id on a row line),
+    /// aligned with `vals`.
     ids: Vec<u32>,
     /// Prefix sums, [`prefix_width`] per position `i ∈ 0..=vals.len()`:
     /// `pre[w·i] = Σ vals[..i]` and, under the squared mean only,
@@ -307,9 +383,21 @@ impl DimIndex {
             }
         }
     }
+
+    /// `Σ term(vals[i] + shift[ids[i]] − t)` over every entry, in `O(n)`:
+    /// the line's share of an answer along the lines.
+    #[inline]
+    fn stream(&self, shift: &[f64], t: f64, mean: ResidueMean) -> f64 {
+        let entries = self.vals.iter().zip(&self.ids);
+        let shifted = entries.map(|(&s, &id)| s + shift[id as usize] - t);
+        match mean {
+            ResidueMean::Arithmetic => shifted.map(f64::abs).sum(),
+            ResidueMean::Squared => shifted.map(|r| r * r).sum(),
+        }
+    }
 }
 
-/// Freshness of one index side of a cluster.
+/// Freshness of a cluster's index side.
 #[derive(Debug, Default)]
 struct Side {
     /// The side matches the cluster's current state.
@@ -331,20 +419,14 @@ impl Side {
     }
 }
 
-/// Both index sides of one cluster.
+/// The index side of one cluster.
 #[derive(Debug)]
 pub(crate) struct ClusterIndex {
-    /// `by_col[j]` holds the sorted `s_ij = d_ij − d_iJ` of column `j`
-    /// over the cluster's rows — serves **row**-toggle queries. Empty for
-    /// columns outside `J`.
-    by_col: Vec<DimIndex>,
-    /// `by_row[i]` holds the sorted `u_ij = d_ij − d_Ij` of row `i` over
-    /// the cluster's columns — serves **column**-toggle queries.
-    by_row: Vec<DimIndex>,
-    /// Freshness of `by_col`.
-    col_side: Side,
-    /// Freshness of `by_row`.
-    row_side: Side,
+    /// One sorted line per member of the line axis ([`Lines`]), over the
+    /// cluster's entry-axis members. Empty for non-members.
+    lines: Vec<DimIndex>,
+    /// Freshness of `lines`.
+    side: Side,
 }
 
 /// Scratch a rebuild fills, owned once per build worker or lane and
@@ -352,41 +434,57 @@ pub(crate) struct ClusterIndex {
 /// nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Buckets {
-    /// `(value, id)` entries: a by-column rebuild's buckets laid end to
-    /// end, or one row's entries in a by-row rebuild.
+    /// `(value, id)` entries: a column-line rebuild's buckets laid end to
+    /// end, or one row's entries in a row-line rebuild.
     entries: Vec<(f64, u32)>,
-    /// Per-column write cursors into `entries` (by-column rebuilds).
+    /// Per-column write cursors into `entries` (column lines).
     next: Vec<usize>,
     /// Column bases hoisted out of the entry loop, one division per member
-    /// column instead of one per entry (by-row rebuilds).
+    /// column instead of one per entry (row lines).
     base: Vec<f64>,
 }
 
 impl ClusterIndex {
-    fn new(matrix: &DataMatrix) -> Self {
+    fn new(matrix: &DataMatrix, lines: Lines) -> Self {
+        let n = match lines {
+            Lines::Cols => matrix.cols(),
+            Lines::Rows => matrix.rows(),
+        };
         ClusterIndex {
-            by_col: vec![DimIndex::default(); matrix.cols()],
-            by_row: vec![DimIndex::default(); matrix.rows()],
-            col_side: Side::default(),
-            row_side: Side::default(),
+            lines: vec![DimIndex::default(); n],
+            side: Side::default(),
         }
     }
 
-    /// Rebuilds the per-column side in one row-major pass: every entry of
-    /// the cluster goes to its column's bucket (a counting sort on the
-    /// known column counts), then each bucket is sorted by `(value, id)`.
-    /// Ids are unique within a bucket, so the order the pass fills it in
-    /// never shows.
-    fn rebuild_by_col(
+    fn rebuild(
+        &mut self,
+        matrix: &DataMatrix,
+        st: &ClusterState,
+        layout: Layout,
+        buf: &mut Buckets,
+    ) {
+        for d in &mut self.lines {
+            d.clear();
+        }
+        match layout.lines {
+            Lines::Cols => self.rebuild_cols(matrix, st, layout.mean, buf),
+            Lines::Rows => self.rebuild_rows(matrix, st, layout.mean, buf),
+        }
+        self.side.ok = true;
+    }
+
+    /// Rebuilds column lines in one row-major pass: every entry of the
+    /// cluster goes to its column's bucket (a counting sort on the known
+    /// column counts), then each bucket is sorted by `(value, id)`. Ids
+    /// are unique within a bucket, so the order the pass fills it in never
+    /// shows.
+    fn rebuild_cols(
         &mut self,
         matrix: &DataMatrix,
         st: &ClusterState,
         mean: ResidueMean,
         buf: &mut Buckets,
     ) {
-        for d in &mut self.by_col {
-            d.clear();
-        }
         let Buckets { entries, next, .. } = buf;
         next.clear();
         next.resize(matrix.cols(), 0);
@@ -410,22 +508,19 @@ impl ClusterIndex {
         let mut start = 0;
         for j in st.cols.iter() {
             // Each cursor has advanced to its bucket's end.
-            self.by_col[j].assign_sorted(&mut entries[start..next[j]], mean);
+            self.lines[j].assign_sorted(&mut entries[start..next[j]], mean);
             start = next[j];
         }
-        self.col_side.ok = true;
     }
 
-    fn rebuild_by_row(
+    /// Rebuilds row lines one row at a time.
+    fn rebuild_rows(
         &mut self,
         matrix: &DataMatrix,
         st: &ClusterState,
         mean: ResidueMean,
         buf: &mut Buckets,
     ) {
-        for d in &mut self.by_row {
-            d.clear();
-        }
         let Buckets { entries, base, .. } = buf;
         base.clear();
         base.resize(matrix.cols(), 0.0);
@@ -439,28 +534,24 @@ impl ClusterIndex {
             for (j, v) in matrix.row_specified_in(i, &st.cols) {
                 entries.push((v - base[j], j as u32));
             }
-            self.by_row[i].assign_sorted(entries, mean);
+            self.lines[i].assign_sorted(entries, mean);
         }
-        self.row_side.ok = true;
     }
+}
 
-    fn rebuild(
-        &mut self,
-        matrix: &DataMatrix,
-        st: &ClusterState,
-        mean: ResidueMean,
-        buf: &mut Buckets,
-    ) {
-        self.rebuild_by_col(matrix, st, mean, buf);
-        self.rebuild_by_row(matrix, st, mean, buf);
-    }
+/// How an engine's indexes are laid out: the mean their prefixes serve
+/// and the way their lines run. Fixed when the engine is built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    mean: ResidueMean,
+    lines: Lines,
 }
 
 /// Incremental gain engine: per-cluster sorted-residue indexes answering
 /// virtual-toggle residues without rescanning the cluster submatrix.
 ///
 /// Built from the canonical [`ClusterState`]s at each iteration boundary;
-/// the driver calls [`Self::prepare`] before querying a side,
+/// the FLOC loop calls [`Self::prepare`] before querying,
 /// [`Self::toggled_residue`] for gains, and [`Self::apply`] (just before
 /// the matching [`ClusterState`] toggle) to keep the indexes in step.
 /// Queries take `&self`, so evaluation parallelizes exactly like the exact
@@ -468,10 +559,11 @@ impl ClusterIndex {
 #[derive(Debug)]
 pub struct IncrementalEngine {
     clusters: Vec<ClusterIndex>,
-    mean: ResidueMean,
+    layout: Layout,
     /// Lazy index-side rebuilds performed by [`Self::prepare`].
     stale_rebuilds: u64,
-    /// In-place same-side repairs performed by [`Self::apply`].
+    /// In-place repairs performed by [`Self::apply`] and the row-update
+    /// pair.
     repairs: u64,
     /// Queries answered by the exact scanner because their side was stale.
     stale_scans: AtomicU64,
@@ -480,7 +572,8 @@ pub struct IncrementalEngine {
 }
 
 impl IncrementalEngine {
-    /// Builds both index sides for every cluster. `O(Σ volume · log)`.
+    /// Builds the index side of every cluster, its lines oriented by the
+    /// matrix shape (`Lines::for_shape`). `O(Σ volume · log)`.
     pub fn build(matrix: &DataMatrix, states: &[ClusterState], mean: ResidueMean) -> Self {
         IncrementalEngine::build_with_threads(matrix, states, mean, 1)
     }
@@ -495,9 +588,16 @@ impl IncrementalEngine {
         mean: ResidueMean,
         threads: usize,
     ) -> Self {
-        let mut engine = IncrementalEngine {
-            clusters: states.iter().map(|_| ClusterIndex::new(matrix)).collect(),
+        let layout = Layout {
             mean,
+            lines: Lines::for_shape(matrix.rows(), matrix.cols()),
+        };
+        let mut engine = IncrementalEngine {
+            clusters: states
+                .iter()
+                .map(|_| ClusterIndex::new(matrix, layout.lines))
+                .collect(),
+            layout,
             stale_rebuilds: 0,
             repairs: 0,
             stale_scans: AtomicU64::new(0),
@@ -506,7 +606,7 @@ impl IncrementalEngine {
         let threads = threads.max(1).min(states.len().max(1));
         if threads <= 1 || states.len() < 2 {
             for (ci, st) in engine.clusters.iter_mut().zip(states) {
-                ci.rebuild(matrix, st, mean, &mut engine.buf);
+                ci.rebuild(matrix, st, layout, &mut engine.buf);
             }
             return engine;
         }
@@ -520,7 +620,7 @@ impl IncrementalEngine {
                 scope.spawn(move || {
                     let mut buf = Buckets::default();
                     for (ci, st) in ci_chunk.iter_mut().zip(st_chunk) {
-                        ci.rebuild(matrix, st, mean, &mut buf);
+                        ci.rebuild(matrix, st, layout, &mut buf);
                     }
                 });
             }
@@ -529,11 +629,11 @@ impl IncrementalEngine {
     }
 
     /// Takes the engine apart into its per-cluster indexes, in cluster
-    /// order, its mean and its [`Self::counters`], so the perform loop can
-    /// hand each lane its own clusters' indexes.
-    pub(crate) fn into_parts(self) -> (Vec<ClusterIndex>, ResidueMean, (u64, u64, u64)) {
+    /// order, its layout and its [`Self::counters`], so the perform loop
+    /// can hand each lane its own clusters' indexes.
+    pub(crate) fn into_parts(self) -> (Vec<ClusterIndex>, Layout, (u64, u64, u64)) {
         let counters = self.counters();
-        (self.clusters, self.mean, counters)
+        (self.clusters, self.layout, counters)
     }
 
     /// An engine over `clusters` (given their states in the same order)
@@ -541,12 +641,12 @@ impl IncrementalEngine {
     /// they came from did.
     pub(crate) fn from_parts(
         clusters: Vec<ClusterIndex>,
-        mean: ResidueMean,
+        layout: Layout,
         (stale_rebuilds, repairs, stale_scans): (u64, u64, u64),
     ) -> Self {
         IncrementalEngine {
             clusters,
-            mean,
+            layout,
             stale_rebuilds,
             repairs,
             stale_scans: AtomicU64::new(stale_scans),
@@ -554,20 +654,13 @@ impl IncrementalEngine {
         }
     }
 
-    /// Rebuilds every stale index side the next queries read that has
-    /// already given its `STALE_SCANS` exact-scan answers: row-toggle
-    /// queries (`is_row`) read the per-column side, column toggles the
-    /// per-row side. Other stale sides keep answering by scan; clean sides
-    /// are untouched.
-    pub fn prepare(&mut self, matrix: &DataMatrix, states: &[ClusterState], is_row: bool) {
-        let mean = self.mean;
+    /// Rebuilds every stale index side that has already given its
+    /// `STALE_SCANS` exact-scan answers. Other stale sides keep answering
+    /// by scan; clean sides are untouched.
+    pub fn prepare(&mut self, matrix: &DataMatrix, states: &[ClusterState]) {
         for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if is_row && ci.col_side.due_for_rebuild() {
-                ci.rebuild_by_col(matrix, st, mean, &mut self.buf);
-                self.stale_rebuilds += 1;
-            }
-            if !is_row && ci.row_side.due_for_rebuild() {
-                ci.rebuild_by_row(matrix, st, mean, &mut self.buf);
+            if ci.side.due_for_rebuild() {
+                ci.rebuild(matrix, st, self.layout, &mut self.buf);
                 self.stale_rebuilds += 1;
             }
         }
@@ -575,10 +668,10 @@ impl IncrementalEngine {
 
     /// Maintenance tallies since [`Self::build`]:
     /// `(stale_rebuilds, repairs, stale_scans)` — lazy side rebuilds in
-    /// [`Self::prepare`], in-place same-side repairs in [`Self::apply`],
-    /// and queries answered by the exact scanner from a stale side.
-    /// Read-only diagnostics for observability; they never influence the
-    /// search.
+    /// [`Self::prepare`], in-place repairs in [`Self::apply`] and
+    /// [`Self::begin_row_update`], and queries answered by the exact
+    /// scanner from a stale side. Read-only diagnostics for observability;
+    /// they never influence the search.
     pub fn counters(&self) -> (u64, u64, u64) {
         (
             self.stale_rebuilds,
@@ -592,9 +685,10 @@ impl IncrementalEngine {
     /// [`ClusterState::residue_if_col_toggled`]. `line` is the target's
     /// line ([`Target::line`]), the only read of the target's values. `st`
     /// must be the state the engine's indexes were built/repaired against.
-    /// When the side the query reads is stale, the answer comes from that
-    /// exact scanner (using `scratch`) and counts towards the side's
-    /// rebuild in the next [`Self::prepare`].
+    /// A toggle across the lines answers in closed form, one along them by
+    /// streaming the side's entries (`scratch` holds the shifts). When the
+    /// side is stale, the answer comes from that exact scanner instead and
+    /// counts towards the side's rebuild in the next [`Self::prepare`].
     pub fn toggled_residue(
         &self,
         cluster: usize,
@@ -605,40 +699,42 @@ impl IncrementalEngine {
         scratch: &mut Scratch,
     ) -> f64 {
         let ci = &self.clusters[cluster];
-        let side = if target.is_row() {
-            &ci.col_side
-        } else {
-            &ci.row_side
-        };
-        if !side.ok {
-            side.scans.fetch_add(1, Ordering::Relaxed);
+        let mean = self.layout.mean;
+        if !ci.side.ok {
+            ci.side.scans.fetch_add(1, Ordering::Relaxed);
             self.stale_scans.fetch_add(1, Ordering::Relaxed);
             return match target {
-                Target::Row(r) => st.residue_if_row_toggled(matrix, r, line, self.mean, scratch),
-                Target::Col(c) => st.residue_if_col_toggled(matrix, c, line, self.mean, scratch),
+                Target::Row(r) => st.residue_if_row_toggled(matrix, r, line, mean, scratch),
+                Target::Col(c) => st.residue_if_col_toggled(matrix, c, line, mean, scratch),
             };
         }
-        match target {
-            Target::Row(r) => self.residue_row_toggled(ci, r, line, st),
-            Target::Col(c) => self.residue_col_toggled(ci, c, line, st),
+        if self.layout.lines.across(target) {
+            self.residue_across(ci, target, line, st)
+        } else {
+            self.residue_along(ci, target, line, st, scratch)
         }
     }
 
-    fn residue_row_toggled(
+    /// The closed form for `target`, a member of the entry axis toggled
+    /// across the lines: each line's stored values shift by one constant.
+    fn residue_across(
         &self,
         ci: &ClusterIndex,
-        x: usize,
+        target: Target,
         line: &Line,
         st: &ClusterState,
     ) -> f64 {
-        let adding = !st.rows.contains(x);
+        let mean = self.layout.mean;
+        let (lines, entries) = self.layout.lines.axes(st);
+        let x = target.index();
+        let adding = !entries.members.contains(x);
         let sign = if adding { 1.0 } else { -1.0 };
 
         // Word-block kernel; bit-identical to folding the line's entries.
         let (t_sum, t_cnt) = if adding {
-            line.stats_in(&st.cols)
+            line.stats_in(lines.members)
         } else {
-            (st.row_sum(x), st.row_specified(x))
+            (entries.sum[x], entries.cnt[x])
         };
 
         let new_volume = (st.volume() as i64 + sign as i64 * t_cnt as i64) as usize;
@@ -648,13 +744,13 @@ impl IncrementalEngine {
         let new_total = st.total() + sign * t_sum;
         let base = new_total / new_volume as f64;
 
-        // Row x's base before (for cancelling stored entries) and after.
-        let old_rb = if st.row_specified(x) > 0 {
-            st.row_sum(x) / st.row_specified(x) as f64
+        // The target's base before (for cancelling stored entries) and after.
+        let old_tb = if entries.cnt[x] > 0 {
+            entries.sum[x] / entries.cnt[x] as f64
         } else {
             0.0 // unused: x then has no stored entries
         };
-        let new_rb = if t_cnt == 0 {
+        let new_tb = if t_cnt == 0 {
             base
         } else {
             t_sum / t_cnt as f64
@@ -662,44 +758,50 @@ impl IncrementalEngine {
 
         let xvals = line.values();
         let mut sum = 0.0;
-        for j in st.cols.iter() {
+        for j in lines.members.iter() {
             let spec = line.is_specified(j);
-            let (mut cs, mut cn) = (st.col_sum(j), st.col_specified(j) as i64);
+            let (mut ls, mut ln) = (lines.sum[j], lines.cnt[j] as i64);
             let v = xvals.get(j);
             if spec {
-                cs += sign * v;
-                cn += sign as i64;
+                ls += sign * v;
+                ln += sign as i64;
             }
-            let col_base = if cn <= 0 { base } else { cs / cn as f64 };
-            let t = col_base - base;
-            sum += ci.by_col[j].query(t, self.mean);
+            let line_base = if ln <= 0 { base } else { ls / ln as f64 };
+            let t = line_base - base;
+            sum += ci.lines[j].query(t, mean);
             if spec {
                 if adding {
-                    sum += self.mean.entry_term(v - new_rb - col_base + base);
+                    sum += entering_term(mean, target, v, new_tb, line_base, base);
                 } else {
                     // The index still contains x's entry; cancel it.
-                    sum -= self.mean.entry_term((v - old_rb) - t);
+                    sum -= mean.entry_term((v - old_tb) - t);
                 }
             }
         }
         sum / new_volume as f64
     }
 
-    fn residue_col_toggled(
+    /// The stream for `target`, a whole line toggled along the lines: one
+    /// pass over every other line's entries, each shifted by its entry's
+    /// base change.
+    fn residue_along(
         &self,
         ci: &ClusterIndex,
-        y: usize,
+        target: Target,
         line: &Line,
         st: &ClusterState,
+        scratch: &mut Scratch,
     ) -> f64 {
-        let adding = !st.cols.contains(y);
+        let mean = self.layout.mean;
+        let (lines, entries) = self.layout.lines.axes(st);
+        let y = target.index();
+        let adding = !lines.members.contains(y);
         let sign = if adding { 1.0 } else { -1.0 };
 
-        // Word-block kernel; bit-identical to folding the line's entries.
         let (t_sum, t_cnt) = if adding {
-            line.stats_in(&st.rows)
+            line.stats_in(entries.members)
         } else {
-            (st.col_sum(y), st.col_specified(y))
+            (lines.sum[y], lines.cnt[y])
         };
 
         let new_volume = (st.volume() as i64 + sign as i64 * t_cnt as i64) as usize;
@@ -708,38 +810,39 @@ impl IncrementalEngine {
         }
         let new_total = st.total() + sign * t_sum;
         let base = new_total / new_volume as f64;
-
-        let old_cb = if st.col_specified(y) > 0 {
-            st.col_sum(y) / st.col_specified(y) as f64
-        } else {
-            0.0 // unused: y then has no stored entries
-        };
-        let new_cb = if t_cnt == 0 {
+        let new_tb = if t_cnt == 0 {
             base
         } else {
             t_sum / t_cnt as f64
         };
 
+        // Each entry-axis member's base moves only if the target's line
+        // holds its cell; the cell itself enters here when adding.
         let yvals = line.values();
+        let shift = scratch.shift(entries.sum.len());
         let mut sum = 0.0;
-        for i in st.rows.iter() {
-            let spec = line.is_specified(i);
-            let (mut rs, mut rn) = (st.row_sum(i), st.row_specified(i) as i64);
+        for i in entries.members.iter() {
+            shift[i] = 0.0;
+            if !line.is_specified(i) {
+                continue;
+            }
+            let (es, en) = (entries.sum[i], entries.cnt[i] as i64);
             let v = yvals.get(i);
-            if spec {
-                rs += sign * v;
-                rn += sign as i64;
+            let (ns, nn) = (es + sign * v, en + sign as i64);
+            let new_eb = if nn <= 0 { base } else { ns / nn as f64 };
+            if en > 0 {
+                shift[i] = es / en as f64 - new_eb;
             }
-            let row_base = if rn <= 0 { base } else { rs / rn as f64 };
-            let w = row_base - base;
-            sum += ci.by_row[i].query(w, self.mean);
-            if spec {
-                if adding {
-                    sum += self.mean.entry_term(v - row_base - new_cb + base);
-                } else {
-                    sum -= self.mean.entry_term((v - old_cb) - w);
-                }
+            if adding {
+                sum += entering_term(mean, target, v, new_tb, new_eb, base);
             }
+        }
+        for j in lines.members.iter() {
+            if j == y || lines.cnt[j] == 0 {
+                continue; // leaving, or holds no entries
+            }
+            let t = lines.sum[j] / lines.cnt[j] as f64 - base;
+            sum += ci.lines[j].stream(shift, t, mean);
         }
         sum / new_volume as f64
     }
@@ -748,33 +851,34 @@ impl IncrementalEngine {
     /// any cells of matrix row `row` (the online miner's stream events).
     ///
     /// Membership toggles move rows in and out of `I`; a data repair keeps
-    /// `I`/`J` fixed but changes row `row`'s values. The per-column (`s`)
-    /// side survives it surgically: `s_ij = d_ij − d_iJ` of every *other*
-    /// row is independent of row `row`'s data, so only `row`'s own entries
-    /// need to leave the indexes (here, while the pre-mutation sums still
-    /// reproduce the stored values) and re-enter in
-    /// [`Self::finish_row_update`]. The per-row (`u`) side cannot be saved
-    /// — mutating `row` shifts column bases for every member row — so it
-    /// is marked stale.
+    /// `I`/`J` fixed but changes row `row`'s values. Column lines survive
+    /// it surgically: `s_ij = d_ij − d_iJ` of every *other* row is
+    /// independent of row `row`'s data, so only `row`'s own entries need to
+    /// leave the indexes (here, while the pre-mutation sums still reproduce
+    /// the stored values) and re-enter in [`Self::finish_row_update`]. Row
+    /// lines cannot be saved — mutating `row` shifts column bases for every
+    /// member row — so they are marked stale.
     ///
     /// Clusters that do not contain `row` are untouched: none of their
     /// statistics depend on a non-member row's data.
     pub fn begin_row_update(&mut self, matrix: &DataMatrix, states: &[ClusterState], row: usize) {
-        let mean = self.mean;
+        let mean = self.layout.mean;
         let line = matrix.row_of(row);
         for (ci, st) in self.clusters.iter_mut().zip(states) {
             if !st.rows.contains(row) {
                 continue;
             }
-            ci.row_side.invalidate();
-            if !ci.col_side.ok {
+            if self.layout.lines == Lines::Rows {
+                ci.side.invalidate();
+            }
+            if !ci.side.ok {
                 continue; // stale: answered by scan until rebuilt
             }
             self.repairs += 1;
             if st.row_specified(row) > 0 {
                 let rb = st.row_sum(row) / st.row_specified(row) as f64;
                 for (j, v) in line.specified_in(&st.cols) {
-                    ci.by_col[j].remove(v - rb, row as u32, mean);
+                    ci.lines[j].remove(v - rb, row as u32, mean);
                 }
             }
         }
@@ -785,16 +889,16 @@ impl IncrementalEngine {
     /// repaired (via [`ClusterState::cell_changed`]), so the post-mutation
     /// sums produce the new invariant residues.
     pub fn finish_row_update(&mut self, matrix: &DataMatrix, states: &[ClusterState], row: usize) {
-        let mean = self.mean;
+        let mean = self.layout.mean;
         let line = matrix.row_of(row);
         for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if !st.rows.contains(row) || !ci.col_side.ok {
+            if !st.rows.contains(row) || !ci.side.ok {
                 continue;
             }
             if st.row_specified(row) > 0 {
                 let rb = st.row_sum(row) / st.row_specified(row) as f64;
                 for (j, v) in line.specified_in(&st.cols) {
-                    ci.by_col[j].insert(v - rb, row as u32, mean);
+                    ci.lines[j].insert(v - rb, row as u32, mean);
                 }
             }
         }
@@ -805,56 +909,34 @@ impl IncrementalEngine {
     /// called with the cluster's state *before* the toggle (the pre-toggle
     /// sums reproduce the stored values to remove).
     ///
-    /// Repairs the same-side index in place (`O(line · |I or J|)`) and
-    /// marks the opposite side stale.
+    /// A toggle across the lines repairs the side in place
+    /// (`O(line · lines)`); one along them marks it stale.
     pub fn apply(&mut self, line: &Line, st: &ClusterState, action: Action) {
-        let mean = self.mean;
+        let Layout { mean, lines: kind } = self.layout;
         let ci = &mut self.clusters[action.cluster];
-        match action.target {
-            Target::Row(x) => {
-                ci.row_side.invalidate(); // every column base shifts
-                if !ci.col_side.ok {
-                    return; // stale: answered by scan until rebuilt
-                }
-                self.repairs += 1;
-                if st.rows.contains(x) {
-                    if st.row_specified(x) > 0 {
-                        let rb = st.row_sum(x) / st.row_specified(x) as f64;
-                        for (j, v) in line.specified_in(&st.cols) {
-                            ci.by_col[j].remove(v - rb, x as u32, mean);
-                        }
-                    }
-                } else {
-                    let (t_sum, t_cnt) = line.stats_in(&st.cols);
-                    if t_cnt > 0 {
-                        let rb = t_sum / t_cnt as f64;
-                        for (j, v) in line.specified_in(&st.cols) {
-                            ci.by_col[j].insert(v - rb, x as u32, mean);
-                        }
-                    }
+        if !kind.across(action.target) {
+            ci.side.invalidate(); // every entry's base shifts
+            return;
+        }
+        if !ci.side.ok {
+            return; // stale: answered by scan until rebuilt
+        }
+        self.repairs += 1;
+        let x = action.target.index();
+        let (lines, entries) = kind.axes(st);
+        if entries.members.contains(x) {
+            if entries.cnt[x] > 0 {
+                let b = entries.sum[x] / entries.cnt[x] as f64;
+                for (j, v) in line.specified_in(lines.members) {
+                    ci.lines[j].remove(v - b, x as u32, mean);
                 }
             }
-            Target::Col(y) => {
-                ci.col_side.invalidate();
-                if !ci.row_side.ok {
-                    return;
-                }
-                self.repairs += 1;
-                if st.cols.contains(y) {
-                    if st.col_specified(y) > 0 {
-                        let cb = st.col_sum(y) / st.col_specified(y) as f64;
-                        for (i, v) in line.specified_in(&st.rows) {
-                            ci.by_row[i].remove(v - cb, y as u32, mean);
-                        }
-                    }
-                } else {
-                    let (t_sum, t_cnt) = line.stats_in(&st.rows);
-                    if t_cnt > 0 {
-                        let cb = t_sum / t_cnt as f64;
-                        for (i, v) in line.specified_in(&st.rows) {
-                            ci.by_row[i].insert(v - cb, y as u32, mean);
-                        }
-                    }
+        } else {
+            let (t_sum, t_cnt) = line.stats_in(lines.members);
+            if t_cnt > 0 {
+                let b = t_sum / t_cnt as f64;
+                for (j, v) in line.specified_in(lines.members) {
+                    ci.lines[j].insert(v - b, x as u32, mean);
                 }
             }
         }
@@ -948,7 +1030,7 @@ mod tests {
                 };
                 // Query every candidate of this side first (as the driver
                 // does), then apply the drawn toggle.
-                engine.prepare(&m, std::slice::from_ref(&st), target.is_row());
+                engine.prepare(&m, std::slice::from_ref(&st));
                 let exact = match target {
                     Target::Row(r) => {
                         st.residue_if_row_toggled(&m, r, &m.row_of(r), mean, &mut scratch)
@@ -977,90 +1059,185 @@ mod tests {
         }
     }
 
+    /// `rows × cols` matrices, in f64 and f32 storage, with whole rows
+    /// unspecified, whole columns unspecified, and a checkerboard of gaps.
+    fn gapped_matrices(rows: usize, cols: usize) -> Vec<(String, DataMatrix)> {
+        let dense = random_matrix(rows, cols, 1.0, 31);
+        type Gap = fn(usize, usize) -> bool;
+        let gaps: [(&str, Gap); 3] = [
+            ("row gaps", |r, _| r % 5 == 3),
+            ("col gaps", |_, c| c % 4 == 1),
+            ("checkerboard", |r, c| (r + c) % 2 == 0),
+        ];
+        let mut out = Vec::new();
+        for (name, gap) in gaps {
+            let mut m = dense.clone();
+            for r in 0..rows {
+                for c in 0..cols {
+                    if gap(r, c) {
+                        m.unset(r, c);
+                    }
+                }
+            }
+            let f32 = m.with_storage(dc_matrix::ValueStorage::F32).unwrap();
+            out.push((format!("{name} f64"), m));
+            out.push((format!("{name} f32"), f32));
+        }
+        out
+    }
+
+    /// A random walk of row and column toggles on a tall and a wide
+    /// matrix (so over both line orientations), checked against an
+    /// independent oracle: after every apply, every row and column query
+    /// agrees with `cluster_residue` recomputed naively on the toggled
+    /// `DeltaCluster`, which never goes through `ClusterState`.
+    #[test]
+    fn both_orientations_match_a_naive_oracle_along_a_walk() {
+        use crate::residue::cluster_residue;
+        for (rows, cols) in [(40, 12), (12, 40)] {
+            for (name, m) in gapped_matrices(rows, cols) {
+                for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+                    let mut truth = DeltaCluster::from_indices(
+                        rows,
+                        cols,
+                        (0..rows).step_by(2),
+                        (0..cols).step_by(3),
+                    );
+                    let mut states = vec![ClusterState::new(&m, &truth)];
+                    let mut engine = IncrementalEngine::build(&m, &states, mean);
+                    let mut rng = StdRng::seed_from_u64(rows as u64 * 1_000 + cols as u64);
+                    let mut scratch = Scratch::default();
+                    for step in 0..40 {
+                        let target = if rng.gen_bool(0.5) {
+                            Target::Row(rng.gen_range(0..rows))
+                        } else {
+                            Target::Col(rng.gen_range(0..cols))
+                        };
+                        let members = match target {
+                            Target::Row(r) => (&truth.rows, r),
+                            Target::Col(c) => (&truth.cols, c),
+                        };
+                        if members.0.contains(members.1) && members.0.len() <= 2 {
+                            continue; // keep the cluster non-degenerate
+                        }
+                        let line = target.line(&m);
+                        let action = Action { target, cluster: 0 };
+                        engine.apply(&line, &states[0], action);
+                        crate::action::apply(&mut states, action, &line);
+                        match target {
+                            Target::Row(r) => truth.rows.toggle(r),
+                            Target::Col(c) => truth.cols.toggle(c),
+                        };
+
+                        engine.prepare(&m, &states);
+                        let queries = (0..rows).map(Target::Row).chain((0..cols).map(Target::Col));
+                        for q in queries {
+                            let mut toggled = truth.clone();
+                            match q {
+                                Target::Row(r) => toggled.rows.toggle(r),
+                                Target::Col(c) => toggled.cols.toggle(c),
+                            };
+                            let want = cluster_residue(&m, &toggled, mean);
+                            let got = engine.toggled_residue(
+                                0,
+                                q,
+                                &q.line(&m),
+                                &states[0],
+                                &m,
+                                &mut scratch,
+                            );
+                            assert!(
+                                (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
+                                "{rows}x{cols} {name} {mean:?} step {step} {q:?}: {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Single-row data repair (the online miner's stream path): mutate
     /// cells of one row between `begin_row_update`/`finish_row_update`,
     /// repair the states with `cell_changed`, and every toggled residue
     /// must still match the exact scanner — for member and non-member
-    /// rows, updates, deletes, and appends.
+    /// rows, updates, deletes, and appends, on a tall matrix (column lines,
+    /// repaired in place) and a wide one (row lines, made stale).
     #[test]
     fn engine_survives_single_row_data_repairs() {
-        for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
-            let mut m = random_matrix(12, 9, 0.8, 21);
-            let mut states = vec![
-                ClusterState::new(&m, &DeltaCluster::from_indices(12, 9, 0..6, 0..5)),
-                ClusterState::new(
-                    &m,
-                    &DeltaCluster::from_indices(12, 9, [2, 5, 7, 9], [1, 4, 6, 8]),
-                ),
-            ];
-            let mut engine = IncrementalEngine::build(&m, &states, mean);
-            let mut rng = StdRng::seed_from_u64(77);
-            let mut scratch = Scratch::default();
+        for (rows, cols) in [(12, 9), (9, 12)] {
+            for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+                let mut m = random_matrix(rows, cols, 0.8, 21);
+                let mut states = vec![
+                    ClusterState::new(&m, &DeltaCluster::from_indices(rows, cols, 0..6, 0..5)),
+                    ClusterState::new(
+                        &m,
+                        &DeltaCluster::from_indices(rows, cols, [2, 5, 7, rows - 3], [1, 4, 6, 8]),
+                    ),
+                ];
+                let mut engine = IncrementalEngine::build(&m, &states, mean);
+                let mut rng = StdRng::seed_from_u64(77);
+                let mut scratch = Scratch::default();
 
-            for step in 0..25 {
-                let row = rng.gen_range(0..12);
-                engine.begin_row_update(&m, &states, row);
-                // Mutate up to three cells of the row: update / delete /
-                // append, drawn at random.
-                for _ in 0..rng.gen_range(1..=3) {
-                    let col = rng.gen_range(0..9);
-                    let new = match rng.gen_range(0..3u32) {
-                        0 => None,
-                        _ => Some(rng.gen_range(-50.0..50.0)),
-                    };
-                    let old = match new {
-                        Some(v) => {
-                            let old = m.get(row, col);
-                            m.set(row, col, v);
-                            old
+                for step in 0..25 {
+                    let row = rng.gen_range(0..rows);
+                    engine.begin_row_update(&m, &states, row);
+                    // Mutate up to three cells of the row: update / delete /
+                    // append, drawn at random.
+                    for _ in 0..rng.gen_range(1..=3) {
+                        let col = rng.gen_range(0..cols);
+                        let new = match rng.gen_range(0..3u32) {
+                            0 => None,
+                            _ => Some(rng.gen_range(-50.0..50.0)),
+                        };
+                        let old = match new {
+                            Some(v) => {
+                                let old = m.get(row, col);
+                                m.set(row, col, v);
+                                old
+                            }
+                            None => m.unset(row, col),
+                        };
+                        for st in &mut states {
+                            st.cell_changed(row, col, old, new);
                         }
-                        None => m.unset(row, col),
-                    };
-                    for st in &mut states {
-                        st.cell_changed(row, col, old, new);
                     }
-                }
-                engine.finish_row_update(&m, &states, row);
+                    engine.finish_row_update(&m, &states, row);
 
-                // Row queries answer from the repaired per-column side.
-                for (k, st) in states.iter().enumerate() {
-                    for r in 0..12 {
-                        let exact =
-                            st.residue_if_row_toggled(&m, r, &m.row_of(r), mean, &mut scratch);
-                        let incr = engine.toggled_residue(
-                            k,
-                            Target::Row(r),
-                            &Target::Row(r).line(&m),
-                            st,
-                            &m,
-                            &mut scratch,
-                        );
-                        assert_close(incr, exact, &format!("step {step} cluster {k} row {r}"));
+                    // Every query of either kind matches, from the repaired
+                    // lines or, while they are stale, by scan.
+                    let targets = (0..rows).map(Target::Row).chain((0..cols).map(Target::Col));
+                    for t in targets {
+                        engine.prepare(&m, &states);
+                        for (k, st) in states.iter().enumerate() {
+                            let exact = match t {
+                                Target::Row(r) => st.residue_if_row_toggled(
+                                    &m,
+                                    r,
+                                    &m.row_of(r),
+                                    mean,
+                                    &mut scratch,
+                                ),
+                                Target::Col(c) => st.residue_if_col_toggled(
+                                    &m,
+                                    c,
+                                    &m.col_of(c),
+                                    mean,
+                                    &mut scratch,
+                                ),
+                            };
+                            let incr =
+                                engine.toggled_residue(k, t, &t.line(&m), st, &m, &mut scratch);
+                            let what = format!("{rows}x{cols} step {step} cluster {k} {t:?}");
+                            assert_close(incr, exact, &what);
+                        }
                     }
-                }
-                // Column queries read the stale per-row side: exact scans
-                // until prepare() rebuilds it.
-                engine.prepare(&m, &states, false);
-                for (k, st) in states.iter().enumerate() {
-                    for c in 0..9 {
-                        let exact =
-                            st.residue_if_col_toggled(&m, c, &m.col_of(c), mean, &mut scratch);
-                        let incr = engine.toggled_residue(
-                            k,
-                            Target::Col(c),
-                            &Target::Col(c).line(&m),
-                            st,
-                            &m,
-                            &mut scratch,
-                        );
-                        assert_close(incr, exact, &format!("step {step} cluster {k} col {c}"));
+                    // And the repaired states must still match a rebuild.
+                    for st in &states {
+                        let rebuilt = ClusterState::new(&m, &st.to_cluster());
+                        assert_eq!(st.volume(), rebuilt.volume());
+                        assert!((st.total() - rebuilt.total()).abs() < 1e-6);
                     }
-                }
-                // And the repaired states must still match a rebuild.
-                for st in &states {
-                    let rebuilt = ClusterState::new(&m, &st.to_cluster());
-                    assert_eq!(st.volume(), rebuilt.volume());
-                    assert!((st.total() - rebuilt.total()).abs() < 1e-6);
                 }
             }
         }
@@ -1076,67 +1253,107 @@ mod tests {
         scratch: &mut Scratch,
     ) {
         let exact = match target {
-            Target::Row(r) => st.residue_if_row_toggled(m, r, &m.row_of(r), engine.mean, scratch),
-            Target::Col(c) => st.residue_if_col_toggled(m, c, &m.col_of(c), engine.mean, scratch),
+            Target::Row(r) => {
+                st.residue_if_row_toggled(m, r, &m.row_of(r), engine.layout.mean, scratch)
+            }
+            Target::Col(c) => {
+                st.residue_if_col_toggled(m, c, &m.col_of(c), engine.layout.mean, scratch)
+            }
         };
         let incr = engine.toggled_residue(0, target, &target.line(m), st, m, scratch);
         assert_close(incr, exact, &format!("{target:?}"));
     }
 
+    /// On a tall and a wide matrix: a toggle across the lines repairs the
+    /// side in place and both query kinds stay indexed; a toggle along the
+    /// lines makes the side stale, queries of either kind then scan
+    /// `STALE_SCANS` times, and `prepare` rebuilds it exactly once.
     #[test]
-    fn maintenance_counters_track_repairs_and_rebuilds() {
-        let m = random_matrix(10, 8, 0.9, 11);
-        let mut st = ClusterState::new(&m, &DeltaCluster::from_indices(10, 8, 0..5, 0..4));
-        let states = std::slice::from_ref;
-        let mut engine = IncrementalEngine::build(&m, states(&st), ResidueMean::Arithmetic);
-        let mut scratch = Scratch::default();
-        assert_eq!(engine.counters(), (0, 0, 0), "fresh build starts clean");
+    fn side_repairs_across_and_goes_stale_along() {
+        for (rows, cols) in [(10, 8), (8, 10)] {
+            let m = random_matrix(rows, cols, 0.9, 11);
+            let mut st = ClusterState::new(&m, &DeltaCluster::from_indices(rows, cols, 0..5, 0..4));
+            let states = std::slice::from_ref;
+            let mut engine = IncrementalEngine::build(&m, states(&st), ResidueMean::Arithmetic);
+            let mut scratch = Scratch::default();
+            assert_eq!(engine.counters(), (0, 0, 0), "fresh build starts clean");
+            let (across, along) = match engine.layout.lines {
+                Lines::Cols => (Target::Row(7), Target::Col(6)),
+                Lines::Rows => (Target::Col(7), Target::Row(6)),
+            };
+            let every: Vec<Target> = (0..rows)
+                .map(Target::Row)
+                .chain((0..cols).map(Target::Col))
+                .collect();
+            let toggle = |engine: &mut IncrementalEngine, st: &mut ClusterState, t: Target| {
+                let line = t.line(&m);
+                engine.apply(
+                    &line,
+                    st,
+                    Action {
+                        target: t,
+                        cluster: 0,
+                    },
+                );
+                crate::action::apply(
+                    std::slice::from_mut(st),
+                    Action {
+                        target: t,
+                        cluster: 0,
+                    },
+                    &line,
+                );
+            };
 
-        // A row apply repairs the per-column side in place…
-        let row7 = Action {
-            target: Target::Row(7),
-            cluster: 0,
-        };
-        engine.apply(&m.row_of(7), &st, row7);
-        st.toggle_row(7, &m.row_of(7));
-        assert_eq!(engine.counters(), (0, 1, 0));
+            // Across the lines: an in-place repair, and every query of
+            // either kind answers from the index.
+            toggle(&mut engine, &mut st, across);
+            assert_eq!(engine.counters(), (0, 1, 0), "{rows}x{cols}");
+            for &t in &every {
+                engine.prepare(&m, states(&st));
+                assert_query_matches(&engine, &st, &m, t, &mut scratch);
+            }
+            assert_eq!(engine.counters(), (0, 1, 0), "{rows}x{cols}: no scans");
 
-        // …and marks the per-row side stale: column queries read it, and
-        // the first STALE_SCANS of them are answered by the exact scan.
-        let scans = u64::from(STALE_SCANS);
-        for n in 1..=scans {
-            engine.prepare(&m, states(&st), false);
-            assert_query_matches(&engine, &st, &m, Target::Col(n as usize % 8), &mut scratch);
-            assert_eq!(engine.counters(), (0, 1, n), "scan {n} rebuilds nothing");
-        }
-        // Then prepare rebuilds the side exactly once, and later queries
-        // come from the rebuilt index.
-        for c in 0..8 {
-            engine.prepare(&m, states(&st), false);
-            assert_query_matches(&engine, &st, &m, Target::Col(c), &mut scratch);
-        }
-        assert_eq!(engine.counters(), (1, 1, scans));
-        // Row queries read the repaired (never stale) per-column side.
-        for r in 0..10 {
-            engine.prepare(&m, states(&st), true);
-            assert_query_matches(&engine, &st, &m, Target::Row(r), &mut scratch);
-        }
-        assert_eq!(engine.counters(), (1, 1, scans));
+            // Along the lines: the side goes stale without a repair, and
+            // the next STALE_SCANS queries of either kind scan.
+            toggle(&mut engine, &mut st, along);
+            assert_eq!(engine.counters(), (0, 1, 0), "{rows}x{cols}");
+            let scans = u64::from(STALE_SCANS);
+            for n in 1..=scans {
+                engine.prepare(&m, states(&st));
+                let t = if n % 2 == 0 { across } else { along };
+                assert_query_matches(&engine, &st, &m, t, &mut scratch);
+                assert_eq!(engine.counters(), (0, 1, n), "{rows}x{cols}: scan {n}");
+            }
+            // Then prepare rebuilds the side exactly once, and every later
+            // query answers from it.
+            for &t in &every {
+                engine.prepare(&m, states(&st));
+                assert_query_matches(&engine, &st, &m, t, &mut scratch);
+            }
+            assert_eq!(engine.counters(), (1, 1, scans), "{rows}x{cols}");
 
-        // A side invalidated before every query is never rebuilt: each row
-        // apply resets the per-row side's scan count.
-        for n in 1..=3 * scans {
-            engine.apply(&m.row_of(7), &st, row7);
-            st.toggle_row(7, &m.row_of(7));
-            engine.prepare(&m, states(&st), false);
-            assert_query_matches(&engine, &st, &m, Target::Col(n as usize % 8), &mut scratch);
-            assert_eq!(engine.counters(), (1, 1 + n, scans + n));
+            // A side invalidated before every query is never rebuilt.
+            for n in 1..=3 * scans {
+                toggle(&mut engine, &mut st, along);
+                engine.prepare(&m, states(&st));
+                assert_query_matches(&engine, &st, &m, across, &mut scratch);
+                assert_eq!(engine.counters(), (1, 1, scans + n), "{rows}x{cols}");
+            }
         }
-        // Row queries still come from the in-place repaired per-column side.
-        for r in 0..10 {
-            assert_query_matches(&engine, &st, &m, Target::Row(r), &mut scratch);
-        }
-        assert_eq!(engine.counters(), (1, 1 + 3 * scans, 4 * scans));
+    }
+
+    /// Lines run along columns unless the matrix is wider than tall; a
+    /// square matrix keeps column lines.
+    #[test]
+    fn lines_follow_the_matrix_shape() {
+        assert_eq!(Lines::for_shape(30_000, 100), Lines::Cols);
+        assert_eq!(Lines::for_shape(943, 1_682), Lines::Rows);
+        assert_eq!(Lines::for_shape(12, 12), Lines::Cols);
+        let square =
+            IncrementalEngine::build(&random_matrix(6, 6, 1.0, 3), &[], ResidueMean::Squared);
+        assert_eq!(square.layout.lines, Lines::Cols);
     }
 
     #[test]
@@ -1229,17 +1446,21 @@ mod tests {
         assert!((d.query(0.3, mean) - naive).abs() < 1e-12);
     }
 
-    /// The one-pass bucketed per-column rebuild lays out every column
+    /// The one-pass bucketed column-line rebuild lays out every column
     /// exactly as a column-major build sorting each column on its own.
     #[test]
-    fn by_col_rebuild_matches_a_column_major_build() {
+    fn column_lines_rebuild_matches_a_column_major_build() {
         let m = random_matrix(70, 9, 0.8, 21);
         let cluster =
             DeltaCluster::from_indices(70, 9, (0..70).filter(|r| r % 3 != 1), [0, 2, 3, 7]);
         let st = ClusterState::new(&m, &cluster);
         for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
-            let mut ci = ClusterIndex::new(&m);
-            ci.rebuild_by_col(&m, &st, mean, &mut Buckets::default());
+            let layout = Layout {
+                mean,
+                lines: Lines::Cols,
+            };
+            let mut ci = ClusterIndex::new(&m, layout.lines);
+            ci.rebuild(&m, &st, layout, &mut Buckets::default());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for j in 0..9 {
                 let mut want = DimIndex::default();
@@ -1250,7 +1471,7 @@ mod tests {
                         .collect();
                     want.assign_sorted(&mut column, mean);
                 }
-                let got = &ci.by_col[j];
+                let got = &ci.lines[j];
                 assert_eq!(bits(&got.vals), bits(&want.vals), "col {j} ({mean:?})");
                 assert_eq!(got.ids, want.ids, "col {j} ({mean:?})");
                 assert_eq!(bits(&got.pre), bits(&want.pre), "col {j} ({mean:?})");
@@ -1303,6 +1524,32 @@ mod tests {
                 );
                 assert_eq!(engine.counters().2, 0, "a fresh engine scans nothing");
             }
+        }
+        // A column target scored after a row apply streams the column lines
+        // the apply repaired, and reads no block after its own line.
+        for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+            let mut states: Vec<_> = clusters.iter().map(|c| ClusterState::new(&m, c)).collect();
+            let mut engine = IncrementalEngine::build(&m, &states, mean);
+            assert_eq!(engine.layout.lines, Lines::Cols);
+            let row = Action {
+                target: Target::Row(30),
+                cluster: 2,
+            };
+            let row_line = row.target.line(&m);
+            engine.apply(&row_line, &states[2], row);
+            crate::action::apply(&mut states, row, &row_line);
+            let target = Target::Col(3);
+            let line = target.line(&m);
+            let read = m.storage_backend().io_stats();
+            for (c, st) in states.iter().enumerate() {
+                engine.toggled_residue(c, target, &line, st, &m, &mut scratch);
+            }
+            assert_eq!(m.storage_backend().io_stats(), read, "{mean:?}");
+            assert_eq!(
+                engine.counters(),
+                (0, 1, 0),
+                "{mean:?}: streamed, not scanned"
+            );
         }
         drop(m);
         let _ = std::fs::remove_dir_all(dir);

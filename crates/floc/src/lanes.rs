@@ -10,9 +10,9 @@
 //! and their [`IncrementalEngine`] indexes, and runs on a thread of its
 //! own. For each action every lane
 //!
-//! 1. reads the target's line once ([`Target::line`]), prepares its own
-//!    index sides and scores the target against its own clusters, keeping
-//!    the first best in cluster order;
+//! 1. reads the target's line once ([`Target::line`]), prepares its
+//!    clusters' indexes and scores the target against its own clusters,
+//!    keeping the first best in cluster order;
 //! 2. posts that partial `(cluster, gain, toggled residue)` to the
 //!    [`Mailbox`] and reads every other lane's;
 //! 3. merges the partials with [`merge`] (highest gain; equal gains go to
@@ -320,10 +320,11 @@ impl Lane {
         (lane == self.id).then_some(i)
     }
 
-    /// Rebuilds the stale index sides the coming `is_row` queries read.
-    fn prepare(&mut self, ctx: &Ctx, is_row: bool) {
+    /// Rebuilds the stale index sides that are due before the coming
+    /// queries.
+    fn prepare(&mut self, ctx: &Ctx) {
         if let Some(eng) = self.engine.as_mut() {
-            eng.prepare(ctx.matrix, &self.states, is_row);
+            eng.prepare(ctx.matrix, &self.states);
         }
     }
 
@@ -459,7 +460,7 @@ impl Lane {
                 // performed"). Negative best gains are still performed.
                 let line = line.insert(target.line(ctx.matrix));
                 clock.lap(&mut self.stats.eval_nanos);
-                self.prepare(ctx, target.is_row());
+                self.prepare(ctx);
                 clock.lap(&mut self.stats.rebuild_nanos);
                 self.score(ctx, target, line)
             } else {
@@ -485,7 +486,7 @@ impl Lane {
             if winner.is_some() && !refresh {
                 // Every cluster prepares before a pre-decided action's
                 // query, as the serial loop always did.
-                self.prepare(ctx, target.is_row());
+                self.prepare(ctx);
                 clock.lap(&mut self.stats.rebuild_nanos);
             }
             let applied = winner.and_then(|w| {
@@ -554,10 +555,10 @@ pub(crate) fn perform(
         lanes == 1 || (config.refresh_gains && engine.is_some()),
         "only refreshed incremental gains run on several lanes"
     );
-    let (indexes, mean, counters) = match engine {
+    let (indexes, layout, counters) = match engine {
         Some(engine) => {
-            let (indexes, mean, counters) = engine.into_parts();
-            (deal(indexes, lanes), Some(mean), counters)
+            let (indexes, layout, counters) = engine.into_parts();
+            (deal(indexes, lanes), Some(layout), counters)
         }
         None => ((0..lanes).map(|_| Vec::new()).collect(), None, (0, 0, 0)),
     };
@@ -572,7 +573,7 @@ pub(crate) fn perform(
             clusters,
             states,
             residues,
-            engine: mean.map(|mean| IncrementalEngine::from_parts(indexes, mean, (0, 0, 0))),
+            engine: layout.map(|layout| IncrementalEngine::from_parts(indexes, layout, (0, 0, 0))),
             scratch: Scratch::default(),
             stats: LaneStats::default(),
         })
@@ -633,8 +634,8 @@ pub(crate) fn perform(
         skipped: book.skipped,
         best_prefix_avg: book.best_prefix_avg,
         best_prefix_len: book.best_prefix_len,
-        engine: mean.map(|mean| {
-            IncrementalEngine::from_parts(join(indexes), mean, (rebuilds, repairs, scans))
+        engine: layout.map(|layout| {
+            IncrementalEngine::from_parts(join(indexes), layout, (rebuilds, repairs, scans))
         }),
         lanes: stats,
     })

@@ -31,6 +31,9 @@ pub struct Scratch {
     /// col-toggle scan, so the residue kernel can run with the toggled
     /// column filtered out at word level instead of per-entry.
     cols_minus: Option<dc_matrix::BitSet>,
+    /// Per-member base shifts of the incremental engine's streamed
+    /// answers, dense-indexed like the axis they shift.
+    shift: Vec<f64>,
 }
 
 impl Scratch {
@@ -39,6 +42,24 @@ impl Scratch {
         self.col_base.clear();
         self.col_base.resize(cols, 0.0);
     }
+
+    /// The shift buffer, at least `len` long. Entries hold whatever the
+    /// last user left there.
+    pub(crate) fn shift(&mut self, len: usize) -> &mut [f64] {
+        if self.shift.len() < len {
+            self.shift.resize(len, 0.0);
+        }
+        &mut self.shift[..len]
+    }
+}
+
+/// One axis of a cluster: its members, and each member's sum and
+/// specified-entry count over the other axis's members.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Axis<'a> {
+    pub members: &'a BitSet,
+    pub sum: &'a [f64],
+    pub cnt: &'a [u32],
 }
 
 /// A cluster plus its sufficient statistics over a fixed matrix.
@@ -125,6 +146,24 @@ impl ClusterState {
     #[inline]
     pub fn col_sum(&self, col: usize) -> f64 {
         self.col_sum[col]
+    }
+
+    /// The row axis: rows, row sums and counts.
+    pub(crate) fn row_axis(&self) -> Axis<'_> {
+        Axis {
+            members: &self.rows,
+            sum: &self.row_sum,
+            cnt: &self.row_cnt,
+        }
+    }
+
+    /// The column axis: columns, column sums and counts.
+    pub(crate) fn col_axis(&self) -> Axis<'_> {
+        Axis {
+            members: &self.cols,
+            sum: &self.col_sum,
+            cnt: &self.col_cnt,
+        }
     }
 
     /// Sum of all specified entries in the cluster submatrix.
@@ -386,6 +425,7 @@ impl ClusterState {
         let Scratch {
             col_base,
             cols_minus,
+            ..
         } = scratch;
         for c in self.cols.iter() {
             if c == col {

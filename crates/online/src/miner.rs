@@ -6,10 +6,14 @@
 //! 1. **Apply** the next `batch` events to the matrix. Each event touches
 //!    one `(row, col)` cell; the incumbent clusters' sufficient statistics
 //!    are repaired in O(1) per affected cluster
-//!    ([`ClusterState::cell_changed`]) and the incremental gain engine's
-//!    sorted prefix-sum indices are repaired surgically for that single
-//!    row ([`IncrementalEngine::begin_row_update`] /
-//!    [`IncrementalEngine::finish_row_update`]) instead of being rebuilt.
+//!    ([`ClusterState::cell_changed`]). The incremental gain engine's
+//!    sorted prefix-sum indices go through
+//!    [`IncrementalEngine::begin_row_update`] /
+//!    [`IncrementalEngine::finish_row_update`]: when their lines run along
+//!    columns (a matrix at least as tall as it is wide) only that row's
+//!    entries are repaired surgically; when they run along rows, the
+//!    row's new data moves every column base, so the pair marks the
+//!    containing clusters' indexes stale and they are rebuilt lazily.
 //! 2. **Rebase** the FLOC checkpoint onto the mutated matrix
 //!    ([`FlocCheckpoint::rebase`]): residues are recomputed canonically,
 //!    the RNG state carries over, so the search trajectory stays a pure
