@@ -128,7 +128,6 @@ fn mine_log_json_emits_schema_valid_lines() {
         "actions_skipped",
         "stale_rebuilds",
         "repairs",
-        "stale_scans",
         "decide_nanos",
         "wait_nanos",
         "lanes",
@@ -194,7 +193,7 @@ fn mine_log_json_emits_schema_valid_lines() {
         .and_then(Value::as_str)
         .expect("floc.done missing stop_reason");
     assert!(!reason.is_empty());
-    for key in ["stale_rebuilds", "repairs", "stale_scans"] {
+    for key in ["stale_rebuilds", "repairs"] {
         assert!(
             done.as_object()
                 .and_then(|o| field(o, key))

@@ -176,9 +176,7 @@ fn evaluate_best_actions(
             }
             let line = line.get_or_insert_with(|| target.line(matrix));
             let g = match engine {
-                Some(eng) => {
-                    residues[c] - eng.toggled_residue(c, target, line, state, matrix, scratch)
-                }
+                Some(eng) => residues[c] - eng.toggled_residue(c, target, line, state, scratch),
                 None => action::gain(
                     matrix,
                     state,
@@ -474,7 +472,6 @@ fn run_loop(
     // (each iteration rebuilds the engine, resetting its own counters).
     let mut total_stale_rebuilds = 0u64;
     let mut total_repairs = 0u64;
-    let mut total_stale_scans = 0u64;
     let mut scratch = Scratch::default();
     let mut best_residues: Vec<f64> = best
         .iter()
@@ -584,11 +581,9 @@ fn run_loop(
             actions_performed: performed.len(),
             improved,
         });
-        let (iter_rebuilds, iter_repairs, iter_scans) =
-            engine.as_ref().map_or((0, 0, 0), |e| e.counters());
+        let (iter_rebuilds, iter_repairs) = engine.as_ref().map_or((0, 0), |e| e.counters());
         total_stale_rebuilds += iter_rebuilds;
         total_repairs += iter_repairs;
-        total_stale_scans += iter_scans;
 
         // 4. Settle an improving iteration: replay the winning prefix onto
         //    the iteration's starting state (cheaper than snapshotting after
@@ -648,7 +643,6 @@ fn run_loop(
                     ),
                     Field::new("stale_rebuilds", iter_rebuilds),
                     Field::new("repairs", iter_repairs),
-                    Field::new("stale_scans", iter_scans),
                     Field::new(
                         "eval_nanos",
                         decide_nanos + lane0.eval_nanos + lane0.wait_nanos,
@@ -739,7 +733,6 @@ fn run_loop(
                 ),
                 Field::new("stale_rebuilds", total_stale_rebuilds),
                 Field::new("repairs", total_repairs),
-                Field::new("stale_scans", total_stale_scans),
             ],
         );
     }

@@ -68,14 +68,12 @@
 //!   on, in the same summation order as a fresh build, so a repaired line
 //!   is bit-identical to a rebuilt one.
 //! * **Along the lines:** every stored value shifts, so the side goes
-//!   *stale*. Queries of either kind then go to the exact scanner
-//!   ([`ClusterState::residue_if_row_toggled`] /
-//!   [`ClusterState::residue_if_col_toggled`]) until the side has answered
-//!   `STALE_SCANS` of them since it last went stale; only then does
-//!   [`IncrementalEngine::prepare`] rebuild it. A side that is invalidated
-//!   again within that many queries is never rebuilt, and one that keeps
-//!   being queried pays at most `STALE_SCANS` scans on top of the rebuild.
-//!   A stale side is not repaired by applies.
+//!   *stale*. A stale side is not repaired by applies and answers no
+//!   query: the next [`IncrementalEngine::prepare`], which the driver
+//!   calls before every round of queries, rebuilds it. Several along
+//!   applies between two `prepare`s cost one rebuild, and
+//!   [`IncrementalEngine::toggled_residue`] panics on a stale side rather
+//!   than answer from it.
 //!
 //! ## Reads
 //!
@@ -97,25 +95,11 @@ use crate::residue::ResidueMean;
 use crate::stats::{Axis, ClusterState, Scratch};
 use dc_matrix::{DataMatrix, Line};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Matrices with at least this many cells default to the incremental
 /// engine under [`GainEngineKind::Auto`]. Below it the exact scanner is
 /// both fast enough and free of index-maintenance overhead.
 pub const AUTO_INCREMENTAL_CELLS: usize = 10_000;
-
-/// Exact-scan answers a stale index side gives before
-/// [`IncrementalEngine::prepare`] rebuilds it. One scan is one pass over
-/// the cluster submatrix; a rebuild is that pass plus a sort of every line,
-/// so a side invalidated again within this many queries is cheaper never
-/// rebuilt, and one that is not costs at most this many scans extra.
-/// Queries of both toggle kinds count. Re-checked at 2, 4 and 8 with one
-/// index side per cluster on the benchmark's mine workloads (2-vCPU
-/// x86-64 host, `latency_ms`): 8 lost to 4 on mine-large (2,147 vs
-/// 1,711 ms) and mine-paged (154 vs 113 ms). 2 beat 4 on mine-large (1,358–1,612 vs 1,452–1,711 ms over three pairs)
-/// and mine-paged (94–97 vs 106–117 ms) but not on mine-fig8 (median of
-/// five 732 vs 708 ms), so 4 stays.
-const STALE_SCANS: u32 = 4;
 
 /// Which engine drives phase-2 gain evaluation (selected in
 /// [`crate::FlocConfig`]).
@@ -397,36 +381,15 @@ impl DimIndex {
     }
 }
 
-/// Freshness of a cluster's index side.
-#[derive(Debug, Default)]
-struct Side {
-    /// The side matches the cluster's current state.
-    ok: bool,
-    /// Exact-scan answers given since the side last went stale. Bumped by
-    /// `&self` queries (hence atomic), read by [`IncrementalEngine::prepare`].
-    scans: AtomicU32,
-}
-
-impl Side {
-    fn invalidate(&mut self) {
-        self.ok = false;
-        *self.scans.get_mut() = 0;
-    }
-
-    /// Stale, and has given its `STALE_SCANS` exact-scan answers.
-    fn due_for_rebuild(&mut self) -> bool {
-        !self.ok && *self.scans.get_mut() >= STALE_SCANS
-    }
-}
-
 /// The index side of one cluster.
 #[derive(Debug)]
 pub(crate) struct ClusterIndex {
     /// One sorted line per member of the line axis ([`Lines`]), over the
     /// cluster's entry-axis members. Empty for non-members.
     lines: Vec<DimIndex>,
-    /// Freshness of `lines`.
-    side: Side,
+    /// An along apply or a data repair changed the cluster since `lines`
+    /// were built; the next [`IncrementalEngine::prepare`] rebuilds them.
+    stale: bool,
 }
 
 /// Scratch a rebuild fills, owned once per build worker or lane and
@@ -452,7 +415,7 @@ impl ClusterIndex {
         };
         ClusterIndex {
             lines: vec![DimIndex::default(); n],
-            side: Side::default(),
+            stale: true,
         }
     }
 
@@ -470,7 +433,7 @@ impl ClusterIndex {
             Lines::Cols => self.rebuild_cols(matrix, st, layout.mean, buf),
             Lines::Rows => self.rebuild_rows(matrix, st, layout.mean, buf),
         }
-        self.side.ok = true;
+        self.stale = false;
     }
 
     /// Rebuilds column lines in one row-major pass: every entry of the
@@ -560,13 +523,12 @@ pub(crate) struct Layout {
 pub struct IncrementalEngine {
     clusters: Vec<ClusterIndex>,
     layout: Layout,
-    /// Lazy index-side rebuilds performed by [`Self::prepare`].
+    /// Rebuilds of sides an along apply invalidated, performed by
+    /// [`Self::prepare`].
     stale_rebuilds: u64,
     /// In-place repairs performed by [`Self::apply`] and the row-update
     /// pair.
     repairs: u64,
-    /// Queries answered by the exact scanner because their side was stale.
-    stale_scans: AtomicU64,
     /// The rebuild scratch of whoever runs this engine's rebuilds.
     buf: Buckets,
 }
@@ -600,7 +562,6 @@ impl IncrementalEngine {
             layout,
             stale_rebuilds: 0,
             repairs: 0,
-            stale_scans: AtomicU64::new(0),
             buf: Buckets::default(),
         };
         let threads = threads.max(1).min(states.len().max(1));
@@ -631,7 +592,7 @@ impl IncrementalEngine {
     /// Takes the engine apart into its per-cluster indexes, in cluster
     /// order, its layout and its [`Self::counters`], so the perform loop
     /// can hand each lane its own clusters' indexes.
-    pub(crate) fn into_parts(self) -> (Vec<ClusterIndex>, Layout, (u64, u64, u64)) {
+    pub(crate) fn into_parts(self) -> (Vec<ClusterIndex>, Layout, (u64, u64)) {
         let counters = self.counters();
         (self.clusters, self.layout, counters)
     }
@@ -642,42 +603,36 @@ impl IncrementalEngine {
     pub(crate) fn from_parts(
         clusters: Vec<ClusterIndex>,
         layout: Layout,
-        (stale_rebuilds, repairs, stale_scans): (u64, u64, u64),
+        (stale_rebuilds, repairs): (u64, u64),
     ) -> Self {
         IncrementalEngine {
             clusters,
             layout,
             stale_rebuilds,
             repairs,
-            stale_scans: AtomicU64::new(stale_scans),
             buf: Buckets::default(),
         }
     }
 
-    /// Rebuilds every stale index side that has already given its
-    /// `STALE_SCANS` exact-scan answers. Other stale sides keep answering
-    /// by scan; clean sides are untouched.
+    /// Rebuilds every stale index side, so each query that follows
+    /// answers from a side in step with its cluster; fresh sides are
+    /// untouched. The only place a side is rebuilt after [`Self::build`].
     pub fn prepare(&mut self, matrix: &DataMatrix, states: &[ClusterState]) {
         for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if ci.side.due_for_rebuild() {
+            if ci.stale {
                 ci.rebuild(matrix, st, self.layout, &mut self.buf);
                 self.stale_rebuilds += 1;
             }
         }
     }
 
-    /// Maintenance tallies since [`Self::build`]:
-    /// `(stale_rebuilds, repairs, stale_scans)` — lazy side rebuilds in
-    /// [`Self::prepare`], in-place repairs in [`Self::apply`] and
-    /// [`Self::begin_row_update`], and queries answered by the exact
-    /// scanner from a stale side. Read-only diagnostics for observability;
-    /// they never influence the search.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.stale_rebuilds,
-            self.repairs,
-            self.stale_scans.load(Ordering::Relaxed),
-        )
+    /// Maintenance tallies since [`Self::build`]: `(stale_rebuilds,
+    /// repairs)` — rebuilds of sides an along apply invalidated, in
+    /// [`Self::prepare`], and in-place repairs in [`Self::apply`] and
+    /// [`Self::begin_row_update`]. Read-only diagnostics for
+    /// observability; they never influence the search.
+    pub fn counters(&self) -> (u64, u64) {
+        (self.stale_rebuilds, self.repairs)
     }
 
     /// The residue cluster `cluster` would have with `target` toggled —
@@ -686,28 +641,24 @@ impl IncrementalEngine {
     /// line ([`Target::line`]), the only read of the target's values. `st`
     /// must be the state the engine's indexes were built/repaired against.
     /// A toggle across the lines answers in closed form, one along them by
-    /// streaming the side's entries (`scratch` holds the shifts). When the
-    /// side is stale, the answer comes from that exact scanner instead and
-    /// counts towards the side's rebuild in the next [`Self::prepare`].
+    /// streaming the side's entries (`scratch` holds the shifts).
+    ///
+    /// # Panics
+    /// Panics if the cluster's side is stale: call [`Self::prepare`] after
+    /// the applies and before the queries.
     pub fn toggled_residue(
         &self,
         cluster: usize,
         target: Target,
         line: &Line,
         st: &ClusterState,
-        matrix: &DataMatrix,
         scratch: &mut Scratch,
     ) -> f64 {
         let ci = &self.clusters[cluster];
-        let mean = self.layout.mean;
-        if !ci.side.ok {
-            ci.side.scans.fetch_add(1, Ordering::Relaxed);
-            self.stale_scans.fetch_add(1, Ordering::Relaxed);
-            return match target {
-                Target::Row(r) => st.residue_if_row_toggled(matrix, r, line, mean, scratch),
-                Target::Col(c) => st.residue_if_col_toggled(matrix, c, line, mean, scratch),
-            };
-        }
+        assert!(
+            !ci.stale,
+            "cluster {cluster}'s index side is stale: prepare before querying"
+        );
         if self.layout.lines.across(target) {
             self.residue_across(ci, target, line, st)
         } else {
@@ -869,10 +820,10 @@ impl IncrementalEngine {
                 continue;
             }
             if self.layout.lines == Lines::Rows {
-                ci.side.invalidate();
+                ci.stale = true;
             }
-            if !ci.side.ok {
-                continue; // stale: answered by scan until rebuilt
+            if ci.stale {
+                continue; // rebuilt whole by the next prepare
             }
             self.repairs += 1;
             if st.row_specified(row) > 0 {
@@ -892,7 +843,7 @@ impl IncrementalEngine {
         let mean = self.layout.mean;
         let line = matrix.row_of(row);
         for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if !st.rows.contains(row) || !ci.side.ok {
+            if !st.rows.contains(row) || ci.stale {
                 continue;
             }
             if st.row_specified(row) > 0 {
@@ -915,11 +866,11 @@ impl IncrementalEngine {
         let Layout { mean, lines: kind } = self.layout;
         let ci = &mut self.clusters[action.cluster];
         if !kind.across(action.target) {
-            ci.side.invalidate(); // every entry's base shifts
+            ci.stale = true; // every entry's base shifts
             return;
         }
-        if !ci.side.ok {
-            return; // stale: answered by scan until rebuilt
+        if ci.stale {
+            return; // rebuilt whole by the next prepare
         }
         self.repairs += 1;
         let x = action.target.index();
@@ -991,7 +942,6 @@ mod tests {
                         Target::Row(r),
                         &Target::Row(r).line(&m),
                         &st,
-                        &m,
                         &mut scratch,
                     );
                     assert_close(incr, exact, &format!("row {r} ({mean:?}, seed {seed})"));
@@ -1003,7 +953,6 @@ mod tests {
                         Target::Col(c),
                         &Target::Col(c).line(&m),
                         &st,
-                        &m,
                         &mut scratch,
                     );
                     assert_close(incr, exact, &format!("col {c} ({mean:?}, seed {seed})"));
@@ -1039,8 +988,7 @@ mod tests {
                         st.residue_if_col_toggled(&m, c, &m.col_of(c), mean, &mut scratch)
                     }
                 };
-                let incr =
-                    engine.toggled_residue(0, target, &target.line(&m), &st, &m, &mut scratch);
+                let incr = engine.toggled_residue(0, target, &target.line(&m), &st, &mut scratch);
                 assert_close(incr, exact, &format!("step {step} {target:?} ({mean:?})"));
                 // Keep the cluster non-degenerate for the next step.
                 let would_empty = match target {
@@ -1138,14 +1086,8 @@ mod tests {
                                 Target::Col(c) => toggled.cols.toggle(c),
                             };
                             let want = cluster_residue(&m, &toggled, mean);
-                            let got = engine.toggled_residue(
-                                0,
-                                q,
-                                &q.line(&m),
-                                &states[0],
-                                &m,
-                                &mut scratch,
-                            );
+                            let got =
+                                engine.toggled_residue(0, q, &q.line(&m), &states[0], &mut scratch);
                             assert!(
                                 (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
                                 "{rows}x{cols} {name} {mean:?} step {step} {q:?}: {got} vs {want}"
@@ -1226,8 +1168,7 @@ mod tests {
                                     &mut scratch,
                                 ),
                             };
-                            let incr =
-                                engine.toggled_residue(k, t, &t.line(&m), st, &m, &mut scratch);
+                            let incr = engine.toggled_residue(k, t, &t.line(&m), st, &mut scratch);
                             let what = format!("{rows}x{cols} step {step} cluster {k} {t:?}");
                             assert_close(incr, exact, &what);
                         }
@@ -1260,88 +1201,96 @@ mod tests {
                 st.residue_if_col_toggled(m, c, &m.col_of(c), engine.layout.mean, scratch)
             }
         };
-        let incr = engine.toggled_residue(0, target, &target.line(m), st, m, scratch);
+        let incr = engine.toggled_residue(0, target, &target.line(m), st, scratch);
         assert_close(incr, exact, &format!("{target:?}"));
     }
 
+    /// Toggles `t` on cluster 0 of `engine` and `st`, index first.
+    fn toggle(engine: &mut IncrementalEngine, st: &mut ClusterState, m: &DataMatrix, t: Target) {
+        let line = t.line(m);
+        let action = Action {
+            target: t,
+            cluster: 0,
+        };
+        engine.apply(&line, st, action);
+        crate::action::apply(std::slice::from_mut(st), action, &line);
+    }
+
+    /// `prepare`s, then checks every row and column query against the
+    /// exact scanner.
+    fn prepare_and_check_every_query(
+        engine: &mut IncrementalEngine,
+        st: &ClusterState,
+        m: &DataMatrix,
+        scratch: &mut Scratch,
+    ) {
+        engine.prepare(m, std::slice::from_ref(st));
+        let every = (0..m.rows())
+            .map(Target::Row)
+            .chain((0..m.cols()).map(Target::Col));
+        for t in every {
+            assert_query_matches(engine, st, m, t, scratch);
+        }
+    }
+
     /// On a tall and a wide matrix: a toggle across the lines repairs the
-    /// side in place and both query kinds stay indexed; a toggle along the
-    /// lines makes the side stale, queries of either kind then scan
-    /// `STALE_SCANS` times, and `prepare` rebuilds it exactly once.
+    /// side in place; one along them marks it stale, and the next
+    /// `prepare` rebuilds it exactly once, however many along toggles came
+    /// before it. Every query after a `prepare` matches the exact scanner.
     #[test]
-    fn side_repairs_across_and_goes_stale_along() {
+    fn side_repairs_across_and_rebuilds_along_once() {
         for (rows, cols) in [(10, 8), (8, 10)] {
             let m = random_matrix(rows, cols, 0.9, 11);
             let mut st = ClusterState::new(&m, &DeltaCluster::from_indices(rows, cols, 0..5, 0..4));
-            let states = std::slice::from_ref;
-            let mut engine = IncrementalEngine::build(&m, states(&st), ResidueMean::Arithmetic);
+            let mut engine =
+                IncrementalEngine::build(&m, std::slice::from_ref(&st), ResidueMean::Arithmetic);
             let mut scratch = Scratch::default();
-            assert_eq!(engine.counters(), (0, 0, 0), "fresh build starts clean");
+            assert_eq!(engine.counters(), (0, 0), "fresh build starts clean");
             let (across, along) = match engine.layout.lines {
-                Lines::Cols => (Target::Row(7), Target::Col(6)),
-                Lines::Rows => (Target::Col(7), Target::Row(6)),
+                Lines::Cols => (Target::Row(7), [6, 5, 6].map(Target::Col)),
+                Lines::Rows => (Target::Col(7), [6, 5, 6].map(Target::Row)),
             };
-            let every: Vec<Target> = (0..rows)
-                .map(Target::Row)
-                .chain((0..cols).map(Target::Col))
-                .collect();
-            let toggle = |engine: &mut IncrementalEngine, st: &mut ClusterState, t: Target| {
-                let line = t.line(&m);
-                engine.apply(
-                    &line,
-                    st,
-                    Action {
-                        target: t,
-                        cluster: 0,
-                    },
-                );
-                crate::action::apply(
-                    std::slice::from_mut(st),
-                    Action {
-                        target: t,
-                        cluster: 0,
-                    },
-                    &line,
-                );
-            };
+            let what = format!("{rows}x{cols}");
 
-            // Across the lines: an in-place repair, and every query of
-            // either kind answers from the index.
-            toggle(&mut engine, &mut st, across);
-            assert_eq!(engine.counters(), (0, 1, 0), "{rows}x{cols}");
-            for &t in &every {
-                engine.prepare(&m, states(&st));
-                assert_query_matches(&engine, &st, &m, t, &mut scratch);
-            }
-            assert_eq!(engine.counters(), (0, 1, 0), "{rows}x{cols}: no scans");
+            // Across the lines: an in-place repair, no rebuild.
+            toggle(&mut engine, &mut st, &m, across);
+            assert_eq!(engine.counters(), (0, 1), "{what}");
+            prepare_and_check_every_query(&mut engine, &st, &m, &mut scratch);
+            assert_eq!(engine.counters(), (0, 1), "{what}: repaired, not rebuilt");
 
             // Along the lines: the side goes stale without a repair, and
-            // the next STALE_SCANS queries of either kind scan.
-            toggle(&mut engine, &mut st, along);
-            assert_eq!(engine.counters(), (0, 1, 0), "{rows}x{cols}");
-            let scans = u64::from(STALE_SCANS);
-            for n in 1..=scans {
-                engine.prepare(&m, states(&st));
-                let t = if n % 2 == 0 { across } else { along };
-                assert_query_matches(&engine, &st, &m, t, &mut scratch);
-                assert_eq!(engine.counters(), (0, 1, n), "{rows}x{cols}: scan {n}");
-            }
-            // Then prepare rebuilds the side exactly once, and every later
-            // query answers from it.
-            for &t in &every {
-                engine.prepare(&m, states(&st));
-                assert_query_matches(&engine, &st, &m, t, &mut scratch);
-            }
-            assert_eq!(engine.counters(), (1, 1, scans), "{rows}x{cols}");
+            // the next prepare rebuilds it once, before any query.
+            toggle(&mut engine, &mut st, &m, along[0]);
+            assert!(engine.clusters[0].stale, "{what}");
+            assert_eq!(engine.counters(), (0, 1), "{what}");
+            engine.prepare(&m, std::slice::from_ref(&st));
+            assert!(!engine.clusters[0].stale, "{what}");
+            assert_eq!(engine.counters(), (1, 1), "{what}: one rebuild");
+            prepare_and_check_every_query(&mut engine, &st, &m, &mut scratch);
+            assert_eq!(engine.counters(), (1, 1), "{what}: a fresh side stays");
 
-            // A side invalidated before every query is never rebuilt.
-            for n in 1..=3 * scans {
-                toggle(&mut engine, &mut st, along);
-                engine.prepare(&m, states(&st));
-                assert_query_matches(&engine, &st, &m, across, &mut scratch);
-                assert_eq!(engine.counters(), (1, 1, scans + n), "{rows}x{cols}");
-            }
+            // Several along toggles between two prepares, with an across
+            // toggle among them that a stale side skips: one rebuild.
+            toggle(&mut engine, &mut st, &m, along[1]);
+            toggle(&mut engine, &mut st, &m, across);
+            toggle(&mut engine, &mut st, &m, along[2]);
+            assert_eq!(engine.counters(), (1, 1), "{what}");
+            prepare_and_check_every_query(&mut engine, &st, &m, &mut scratch);
+            assert_eq!(engine.counters(), (2, 1), "{what}: one rebuild for three");
         }
+    }
+
+    /// A stale side answers no query: querying it before `prepare` panics.
+    #[test]
+    #[should_panic(expected = "stale")]
+    fn querying_a_stale_side_before_prepare_panics() {
+        let m = random_matrix(10, 8, 0.9, 11);
+        let mut st = ClusterState::new(&m, &DeltaCluster::from_indices(10, 8, 0..5, 0..4));
+        let mut engine =
+            IncrementalEngine::build(&m, std::slice::from_ref(&st), ResidueMean::Arithmetic);
+        toggle(&mut engine, &mut st, &m, Target::Col(6));
+        let q = Target::Row(7);
+        engine.toggled_residue(0, q, &q.line(&m), &st, &mut Scratch::default());
     }
 
     /// Lines run along columns unless the matrix is wider than tall; a
@@ -1512,7 +1461,7 @@ mod tests {
                 let line = target.line(&m);
                 let read = m.storage_backend().io_stats();
                 for (c, st) in states.iter().enumerate() {
-                    engine.toggled_residue(c, target, &line, st, &m, &mut scratch);
+                    engine.toggled_residue(c, target, &line, st, &mut scratch);
                 }
                 let action = Action { target, cluster: 1 };
                 engine.apply(&line, &states[1], action);
@@ -1522,7 +1471,7 @@ mod tests {
                     read,
                     "{target:?} ({mean:?})"
                 );
-                assert_eq!(engine.counters().2, 0, "a fresh engine scans nothing");
+                assert_eq!(engine.counters().0, 0, "a fresh engine rebuilds nothing");
             }
         }
         // A column target scored after a row apply streams the column lines
@@ -1542,14 +1491,10 @@ mod tests {
             let line = target.line(&m);
             let read = m.storage_backend().io_stats();
             for (c, st) in states.iter().enumerate() {
-                engine.toggled_residue(c, target, &line, st, &m, &mut scratch);
+                engine.toggled_residue(c, target, &line, st, &mut scratch);
             }
             assert_eq!(m.storage_backend().io_stats(), read, "{mean:?}");
-            assert_eq!(
-                engine.counters(),
-                (0, 1, 0),
-                "{mean:?}: streamed, not scanned"
-            );
+            assert_eq!(engine.counters(), (0, 1), "{mean:?}: streamed, not rebuilt");
         }
         drop(m);
         let _ = std::fs::remove_dir_all(dir);

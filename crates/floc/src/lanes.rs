@@ -239,7 +239,8 @@ pub(crate) struct LaneStats {
     /// Reading each target's line and scoring it against its clusters
     /// (and, on lane 0, polling for a stop).
     pub eval_nanos: u64,
-    /// Lazy index-side rebuilds ([`IncrementalEngine::prepare`]).
+    /// Rebuilding the index sides its along applies invalidated
+    /// ([`IncrementalEngine::prepare`]).
     pub rebuild_nanos: u64,
     /// Performing toggles and, on lane 0, keeping the books.
     pub apply_nanos: u64,
@@ -320,8 +321,8 @@ impl Lane {
         (lane == self.id).then_some(i)
     }
 
-    /// Rebuilds the stale index sides that are due before the coming
-    /// queries.
+    /// Rebuilds this lane's stale index sides, so the coming queries all
+    /// answer from sides in step with their clusters.
     fn prepare(&mut self, ctx: &Ctx) {
         if let Some(eng) = self.engine.as_mut() {
             eng.prepare(ctx.matrix, &self.states);
@@ -355,7 +356,7 @@ impl Lane {
             }
             let (gain, toggled) = match engine.as_ref() {
                 Some(eng) => {
-                    let tr = eng.toggled_residue(i, target, line, state, ctx.matrix, scratch);
+                    let tr = eng.toggled_residue(i, target, line, state, scratch);
                     (residues[i] - tr, tr)
                 }
                 None => {
@@ -414,7 +415,7 @@ impl Lane {
                 } else {
                     // The pre-decided gain is stale; query the residue the
                     // toggle actually produces against the current state.
-                    eng.toggled_residue(i, act.target, line, &states[i], ctx.matrix, scratch)
+                    eng.toggled_residue(i, act.target, line, &states[i], scratch)
                 };
                 // Repair the indexes from the pre-toggle state, then toggle.
                 eng.apply(line, &states[i], local);
@@ -560,7 +561,7 @@ pub(crate) fn perform(
             let (indexes, layout, counters) = engine.into_parts();
             (deal(indexes, lanes), Some(layout), counters)
         }
-        None => ((0..lanes).map(|_| Vec::new()).collect(), None, (0, 0, 0)),
+        None => ((0..lanes).map(|_| Vec::new()).collect(), None, (0, 0)),
     };
     let mut dealt: Vec<Lane> = deal((0..k).collect(), lanes)
         .into_iter()
@@ -573,7 +574,7 @@ pub(crate) fn perform(
             clusters,
             states,
             residues,
-            engine: layout.map(|layout| IncrementalEngine::from_parts(indexes, layout, (0, 0, 0))),
+            engine: layout.map(|layout| IncrementalEngine::from_parts(indexes, layout, (0, 0))),
             scratch: Scratch::default(),
             stats: LaneStats::default(),
         })
@@ -612,12 +613,12 @@ pub(crate) fn perform(
     let mut stats = Vec::with_capacity(lanes);
     let mut states = Vec::with_capacity(lanes);
     let mut indexes = Vec::with_capacity(lanes);
-    let (mut rebuilds, mut repairs, mut scans) = counters;
+    let (mut rebuilds, mut repairs) = counters;
     for lane in dealt {
         let mut lane_repairs = 0;
         if let Some(engine) = lane.engine {
-            let (lane_indexes, _, (r, p, s)) = engine.into_parts();
-            (rebuilds, repairs, scans) = (rebuilds + r, repairs + p, scans + s);
+            let (lane_indexes, _, (r, p)) = engine.into_parts();
+            (rebuilds, repairs) = (rebuilds + r, repairs + p);
             lane_repairs = p;
             indexes.push(lane_indexes);
         }
@@ -635,7 +636,7 @@ pub(crate) fn perform(
         best_prefix_avg: book.best_prefix_avg,
         best_prefix_len: book.best_prefix_len,
         engine: layout.map(|layout| {
-            IncrementalEngine::from_parts(join(indexes), layout, (rebuilds, repairs, scans))
+            IncrementalEngine::from_parts(join(indexes), layout, (rebuilds, repairs))
         }),
         lanes: stats,
     })

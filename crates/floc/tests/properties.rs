@@ -279,7 +279,7 @@ proptest! {
             let engine = IncrementalEngine::build(&m, std::slice::from_ref(&state), mean);
             for r in 0..m.rows() {
                 let exact = state.residue_if_row_toggled(&m, r, &m.row_of(r), mean, &mut scratch);
-                let incr = engine.toggled_residue(0, Target::Row(r), &Target::Row(r).line(&m), &state, &m, &mut scratch);
+                let incr = engine.toggled_residue(0, Target::Row(r), &Target::Row(r).line(&m), &state, &mut scratch);
                 prop_assert!(
                     (incr - exact).abs() <= 1e-9 * (1.0 + exact.abs()),
                     "row {r} {mean:?}: incremental {incr} vs exact {exact}"
@@ -287,7 +287,7 @@ proptest! {
             }
             for col in 0..m.cols() {
                 let exact = state.residue_if_col_toggled(&m, col, &m.col_of(col), mean, &mut scratch);
-                let incr = engine.toggled_residue(0, Target::Col(col), &Target::Col(col).line(&m), &state, &m, &mut scratch);
+                let incr = engine.toggled_residue(0, Target::Col(col), &Target::Col(col).line(&m), &state, &mut scratch);
                 prop_assert!(
                     (incr - exact).abs() <= 1e-9 * (1.0 + exact.abs()),
                     "col {col} {mean:?}: incremental {incr} vs exact {exact}"

@@ -1026,7 +1026,8 @@ impl DataMatrix {
     /// Column `col` as a [`Line`]. Borrows the column-major mirror on the
     /// memory backend (the first call after construction or mutation pays
     /// an `O(rows·cols)` transpose); on the paged backend gathers the
-    /// column over every row, reading each block once in ascending order.
+    /// column over every row, reading each block once, the resident blocks
+    /// first and then the rest in ascending order.
     #[inline]
     pub fn col_of(&self, col: usize) -> Line<'_> {
         assert!(col < self.cols, "col {col} out of bounds");
@@ -1233,10 +1234,16 @@ impl DataMatrix {
         };
         eat(&(self.rows as u64).to_le_bytes());
         eat(&(self.cols as u64).to_le_bytes());
-        for idx in 0..self.values.len() {
-            if self.mask.contains(idx) {
-                eat(&(idx as u64).to_le_bytes());
-                eat(&self.values.get(idx).to_bits().to_le_bytes());
+        for row in 0..self.rows {
+            // One block lookup per row, not per cell, on the paged backend.
+            let run = self.row_run(row);
+            let values = run.slice();
+            for col in 0..self.cols {
+                let idx = self.idx(row, col);
+                if self.mask.contains(idx) {
+                    eat(&(idx as u64).to_le_bytes());
+                    eat(&values.get(col).to_bits().to_le_bytes());
+                }
             }
         }
         h

@@ -20,15 +20,16 @@
 //!
 //! Reads go through [`crate::Line`]s. A row line holds its resident chunk
 //! (an `Arc`, so eviction cannot pull the values away) and reads one
-//! contiguous row inside it. A column line is gathered over every chunk in
-//! ascending row order, each chunk read once, into one owned run in the
-//! matrix's precision; narrowing a widened `f32` back is exact. Both then
-//! run the same word-block kernels as the memory backend, which fold the
-//! selected entries in ascending index order, so a paged matrix computes
-//! *bit-identical* statistics to its in-memory twin for any chunk size and
-//! any cache cap. Summing per-chunk partials and combining them afterwards
-//! would re-associate the additions and round differently — that is the
-//! one design everything here avoids.
+//! contiguous row inside it. A column line is gathered over every chunk,
+//! each read once (the resident chunks first, so a cache smaller than the
+//! matrix keeps what the last gather left), into one owned run in the
+//! matrix's precision, every value at its own row; narrowing a widened
+//! `f32` back is exact. Both then run the same word-block kernels as the
+//! memory backend, which fold the selected entries in ascending index
+//! order, so a paged matrix computes *bit-identical* statistics to its
+//! in-memory twin for any chunk size and any cache cap. Summing per-chunk
+//! partials and combining them afterwards would re-associate the additions
+//! and round differently — that is the one design everything here avoids.
 //!
 //! # Durability and error policy
 //!
@@ -647,15 +648,26 @@ impl PagedStore {
         (self.chunk(row / self.chunk_rows), row % self.chunk_rows)
     }
 
-    /// Column `col` over every row, in native precision: each block is
-    /// read once, in ascending row order.
+    /// Column `col` over every row, in native precision. Each block is read
+    /// once: the blocks already resident first, then the rest in ascending
+    /// order. Reading in plain ascending order through an LRU smaller than
+    /// the matrix would evict every block before the next gather reached
+    /// it; this way a gather starts with the blocks the previous one left.
+    /// Each value lands at its own row, so the order never shows.
     pub(crate) fn gather_col(&self, col: usize) -> Values {
-        let mut out = Values::zeroed(self.storage, 0);
-        for index in 0..self.n_chunks() {
+        let mut order: Vec<usize> = (0..self.n_chunks()).collect();
+        {
+            let cache = self.shared.cache.lock().expect("block cache poisoned");
+            // Stable, so each group keeps ascending order.
+            order.sort_by_key(|index| !cache.resident.contains_key(index));
+        }
+        let mut out = Values::zeroed(self.storage, self.rows);
+        for index in order {
             let chunk = self.chunk(index);
-            for local in 0..chunk.n_rows {
+            let (start, n_rows) = self.chunk_span(index);
+            for local in 0..n_rows {
                 // Narrowing a widened f32 back is exact.
-                out.push(chunk.value(local, col));
+                out.set(start + local, chunk.value(local, col));
             }
         }
         out

@@ -149,8 +149,10 @@ proptest! {
     }
 }
 
-/// From a cold one-block cache a column costs one miss per block and a row
-/// one miss; neither re-reads a block.
+/// From a cold one-block cache the first column costs one miss per block
+/// and a row one miss. A later column reads the block the last gather left
+/// resident first, so it costs one hit and one miss fewer. No gather
+/// re-reads a block.
 #[test]
 fn col_of_reads_every_block_once_and_row_of_one_block() {
     let (rows, cols, chunk_rows) = (50, 9, 7);
@@ -172,18 +174,58 @@ fn col_of_reads_every_block_once_and_row_of_one_block() {
     let n_chunks = rows.div_ceil(chunk_rows) as u64;
     let io = || m.storage_backend().io_stats();
     assert_eq!(io().misses, 0, "opening leaves the cache cold");
-    for c in [0, 4, 8] {
+    for (n, c) in [0, 4, 8].into_iter().enumerate() {
         let before = io();
         let line = m.col_of(c);
         let after = io();
-        assert_eq!(after.misses - before.misses, n_chunks, "col {c}");
-        assert_eq!(after.hits, before.hits, "col {c} re-read a block");
-        assert_eq!(line.get(rows - 1), ((rows - 1) * cols + c) as f64 * 0.5);
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        let resident = u64::from(n > 0);
+        assert_eq!(hits, resident, "col {c}");
+        assert_eq!(misses, n_chunks - resident, "col {c}");
+        assert_eq!(hits + misses, n_chunks, "col {c} re-read a block");
+        for r in 0..rows {
+            assert_eq!(line.get(r), (r * cols + c) as f64 * 0.5, "col {c} row {r}");
+        }
     }
     let before = io();
     let line = m.row_of(3);
     assert_eq!(io().misses - before.misses + io().hits - before.hits, 1);
     assert_eq!(line.get(2), (3 * cols + 2) as f64 * 0.5);
+    drop(m);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// 16 blocks through an 8-block cache: a second full column gather starts
+/// with the 8 blocks the first one left resident, so it reads 8 hits and 8
+/// misses where ascending order would miss all 16, and every value still
+/// lands at its own row.
+#[test]
+fn col_of_reads_resident_blocks_first() {
+    let (rows, cols, chunk_rows) = (64, 3, 4);
+    let dir = scratch("resident-first");
+    let data: Vec<Option<f64>> = (0..rows * cols)
+        .map(|i| (i % 5 != 2).then_some(i as f64 * 0.25 - 7.0))
+        .collect();
+    let m = DataMatrix::builder(rows, cols)
+        .paged(&dir)
+        .chunk_rows(chunk_rows)
+        .cache_blocks(Some(8))
+        .from_options(data.clone())
+        .unwrap();
+    m.ensure_mirror();
+    let io = || m.storage_backend().io_stats();
+    let _ = m.col_of(0);
+    for c in [1, 2, 0] {
+        let before = io();
+        let line = m.col_of(c);
+        let after = io();
+        assert_eq!(after.hits - before.hits, 8, "col {c}");
+        assert_eq!(after.misses - before.misses, 8, "col {c}");
+        for r in 0..rows {
+            let got = line.is_specified(r).then(|| line.get(r));
+            assert_eq!(got, data[r * cols + c], "col {c} row {r}");
+        }
+    }
     drop(m);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -13,7 +13,8 @@
 //!    columns (a matrix at least as tall as it is wide) only that row's
 //!    entries are repaired surgically; when they run along rows, the
 //!    row's new data moves every column base, so the pair marks the
-//!    containing clusters' indexes stale and they are rebuilt lazily.
+//!    containing clusters' indexes stale for the engine's next
+//!    [`IncrementalEngine::prepare`] to rebuild.
 //! 2. **Rebase** the FLOC checkpoint onto the mutated matrix
 //!    ([`FlocCheckpoint::rebase`]): residues are recomputed canonically,
 //!    the RNG state carries over, so the search trajectory stays a pure
