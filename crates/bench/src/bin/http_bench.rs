@@ -2,22 +2,11 @@
 //! under configurable connections/pipelining. Writes BENCH_http.json under
 //! --out (default target/experiments) and publishes it to the repo root.
 //! Knobs: --full, --connections N, --pipeline N, --batch N.
-//!
-//! With `--topology 1x1,1x2,1x4` it instead runs the multi-process cluster
-//! bench — S `delta-clusters serve` shard children fronted by one
-//! `delta-clusters router`, load driven through the router — and publishes
-//! BENCH_cluster.json.
 fn main() {
     let opts = dc_bench::Opts::from_args();
-    let artifact = if opts.topology.is_some() {
-        println!("{}", dc_bench::experiments::cluster::run(&opts));
-        "BENCH_cluster.json"
-    } else {
-        println!("{}", dc_bench::experiments::http_bench::run(&opts));
-        "BENCH_http.json"
-    };
-    match dc_bench::publish::publish_to_repo_root(&opts.out_dir.join(artifact)) {
+    println!("{}", dc_bench::experiments::http_bench::run(&opts));
+    match dc_bench::publish::publish_to_repo_root(&opts.out_dir.join("BENCH_http.json")) {
         Ok(dest) => eprintln!("published {}", dest.display()),
-        Err(e) => eprintln!("warning: could not publish {artifact}: {e}"),
+        Err(e) => eprintln!("warning: could not publish BENCH_http.json: {e}"),
     }
 }

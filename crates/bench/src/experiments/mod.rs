@@ -4,7 +4,6 @@
 
 pub mod ablations;
 pub mod baselines;
-pub mod cluster;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;

@@ -23,9 +23,6 @@ pub struct Opts {
     pub pipeline: Option<usize>,
     /// `http_bench` only: predict queries per request body.
     pub batch: Option<usize>,
-    /// `http_bench` only: run the multi-process cluster bench instead,
-    /// e.g. `--topology 1x1,1x2,1x4` (routers × shards per measurement).
-    pub topology: Option<String>,
     /// `floc_perf` only: also measure the named storage backend against
     /// the in-memory baseline (`--backend paged` adds the paged-vs-memory
     /// comparison at the 30k×100 acceptance point).
@@ -44,7 +41,6 @@ impl Default for Opts {
             connections: None,
             pipeline: None,
             batch: None,
-            topology: None,
             backend: None,
         }
     }
@@ -82,9 +78,6 @@ impl Opts {
                 }
                 "--batch" => {
                     opts.batch = args.next().and_then(|s| s.parse().ok());
-                }
-                "--topology" => {
-                    opts.topology = args.next();
                 }
                 "--backend" => {
                     opts.backend = args.next().and_then(|s| s.parse().ok());
@@ -154,12 +147,5 @@ mod tests {
         );
         assert_eq!(parse(&["--backend", "bogus"]).backend, None);
         assert_eq!(parse(&[]).backend, None);
-    }
-
-    #[test]
-    fn topology_flag() {
-        let o = parse(&["--topology", "1x1,1x2,1x4"]);
-        assert_eq!(o.topology.as_deref(), Some("1x1,1x2,1x4"));
-        assert_eq!(parse(&[]).topology, None);
     }
 }

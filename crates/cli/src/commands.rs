@@ -10,10 +10,7 @@
 //! * `predict` — answer point queries / top-N recommendations from a saved
 //!   model snapshot (see `mine --save-model`).
 //! * `serve` — put a saved model behind the dc-net HTTP server until
-//!   SIGINT (graceful drain, exit 0); `--models DIR` adds a lazy-loading
-//!   multi-model registry behind `/v1/models`.
-//! * `router` — front a fleet of `serve` shards with consistent-hash
-//!   scatter-gather routing (dc-router).
+//!   SIGINT (graceful drain, exit 0).
 //! * `serve-bench` — measure concurrent query throughput of a saved model.
 //!
 //! Every command takes `--seed` and is fully reproducible.
@@ -33,7 +30,6 @@ use dc_floc::{
 use dc_matrix::atomic::atomic_write;
 use dc_matrix::io::{read_dense_file, read_triples_file, DenseFormat};
 use dc_matrix::DataMatrix;
-use dc_net::RequestHandler;
 use dc_obs::{EventKind, Field, Obs};
 use dc_serve::{PredictError, QueryEngine, ServeModel};
 use serde::Serialize;
@@ -156,16 +152,13 @@ USAGE:
   delta-clusters evaluate <matrix-file> --found FOUND.json --truth TRUTH.json [--triples]
   delta-clusters compare <matrix-file> [--k N] [--delta D] [--triples] [--seed S]
   delta-clusters predict <model-file> <row> [<col>] [--top N]
-  delta-clusters serve <model-file> [--models DIR] [--model-cap N] [--addr HOST:PORT]
-                  [--threads T] [--queue-depth N] [--log text|json] [--metrics OUT.json]
+  delta-clusters serve <model-file> [--addr HOST:PORT] [--threads T] [--queue-depth N]
+                  [--log text|json] [--metrics OUT.json]
   delta-clusters serve --mine [--state-dir DIR] [--stream FILE.dcs]
                   [--stream-users N --stream-movies N --stream-events N]
                   [--stream-seed S] [--stream-deletes PCT] [--batch N]
                   [--refine-iters N] [--promote-margin M] [--keep-generations N]
                   [--k N] [--alpha A] [--seed S] [--addr HOST:PORT] [...]
-  delta-clusters router --shards HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
-                  [--replicas N] [--failure-threshold N] [--probe-interval-ms MS]
-                  [--threads T] [--queue-depth N] [--log text|json] [--metrics OUT.json]
   delta-clusters serve-bench <model-file> [--queries N] [--threads T1,T2,...]
                   [--out DIR] [--json] [--log text|json] [--metrics OUT.json]
   delta-clusters help
@@ -200,23 +193,7 @@ JSON or Prometheus text (?format=prometheus). --threads sizes the worker
 pool, --queue-depth bounds accepted-but-unserved connections (beyond it
 clients get 503 + Retry-After). SIGINT stops accepting, drains in-flight
 requests, and exits 0; a model whose every cluster is degenerate is
-refused at startup with exit 2. `serve --models DIR` additionally scans
-`<name>@<version>.dcm|.json` artifacts into a lazy-loading registry
-(highest version per name wins; --model-cap bounds resident engines, LRU
-beyond it): GET /v1/models lists the catalog and POST
-/v1/models/<name>/predict answers from a named model; without a positional
-model file the registry's first entry becomes the default.
-
-Scaling out: `router` fronts a fleet of `serve` shards. Row ids map to
-shards on a consistent-hash ring (--replicas virtual nodes per shard);
-batch predicts scatter to the owning shards in parallel and gather back in
-the original query order, byte-identical to a single process. A shard
-failing --failure-threshold consecutive transport attempts is ejected and
-re-admitted once its /healthz answers again (probed every
---probe-interval-ms); sub-requests retry once on the ring's next replica,
-502 when nobody is reachable. GET /v1/shards reports per-shard health.
-Startup probes every shard and refuses to route a fully unreachable fleet
-(exit 2).
+refused at startup with exit 2.
 
 Baselines: `mine --algorithm` swaps FLOC for a competitor — `proclus`
 (medoid-based projected clustering; --avg-dims, --max-iters, --seed),
@@ -286,7 +263,6 @@ pub fn dispatch(args: &Args) -> Result<CmdOutput, CmdError> {
         Some("compare") => compare(args),
         Some("predict") => predict(args),
         Some("serve") => serve(args),
-        Some("router") => router(args),
         Some("serve-bench") => serve_bench(args),
         Some("help") | None => Ok(CmdOutput::ok(HELP)),
         Some(other) => Err(CmdError::Usage(format!(
@@ -789,21 +765,16 @@ fn serve(args: &Args) -> Result<CmdOutput, CmdError> {
     }
 
     // Obs comes up before the model so the `serve.model_load` span covers
-    // the initial load too, not just registry-driven ones.
+    // the initial load.
     let (obs, metrics) = ObsBuilder::from_args(args)
         .map_err(CmdError::Usage)?
         .build();
 
     // `--mine` turns the server into its own model source: a background
     // miner consumes the event stream, promoting improved models into the
-    // running server. It owns the default model, so it excludes both the
-    // positional model file and the registry default.
+    // running server. It owns the served model, so it excludes the
+    // positional model file.
     let mining = args.switch("mine");
-    if mining && args.get("models").is_some() {
-        return Err(CmdError::Usage(
-            "--mine and --models are mutually exclusive; the miner owns the served model".into(),
-        ));
-    }
     if mining && !args.positional.is_empty() {
         return Err(CmdError::Usage(
             "serve --mine mines its own model; drop the model-file argument".into(),
@@ -811,45 +782,12 @@ fn serve(args: &Args) -> Result<CmdOutput, CmdError> {
     }
     let mut miner = None;
 
-    // `--models DIR` scans `<name>@<version>.dcm|.json` artifacts into a
-    // lazy-loading registry; the default model (for bare `/v1/predict`) is
-    // the positional path when given, else the registry's first entry.
-    let mut registry = None;
     let (model, model_path) = if mining {
         let (m, model, path) = online_bootstrap(args, &obs)?;
         miner = Some(m);
         (model, path)
     } else {
-        let model_path = match args.get("models") {
-            Some(dir) => {
-                let cap: usize = args.get_or("model-cap", 4)?;
-                if cap == 0 {
-                    return Err(CmdError::Usage("--model-cap must be positive".into()));
-                }
-                let reg = dc_serve::ModelRegistry::open(dir, cap, obs.clone())
-                    .map_err(|e| CmdError::Io(format!("{dir}: {e}")))?;
-                if reg.is_empty() {
-                    return Err(CmdError::Io(format!(
-                        "{dir}: no model artifacts (<name>@<version>.dcm) found"
-                    )));
-                }
-                let path = match args.positional.first() {
-                    Some(p) => p.clone(),
-                    None => {
-                        let first = reg.first_name().expect("registry is non-empty");
-                        let info = reg
-                            .list()
-                            .into_iter()
-                            .find(|i| i.name == first)
-                            .expect("first_name is listed");
-                        info.path.display().to_string()
-                    }
-                };
-                registry = Some(Arc::new(reg));
-                path
-            }
-            None => input_path(args, "model file")?.to_string(),
-        };
+        let model_path = input_path(args, "model file")?.to_string();
         let model = dc_serve::load_observed(&model_path, &obs)
             .map_err(|e| CmdError::Io(format!("{model_path}: {e}")))?;
         // A model in which every cluster is degenerate (zero specified
@@ -865,15 +803,12 @@ fn serve(args: &Args) -> Result<CmdOutput, CmdError> {
         (model, model_path)
     };
 
-    let mut app = dc_net::AppState::new(model, Some(&model_path), threads, obs.clone());
-    let registry_note = match &registry {
-        Some(reg) => format!(" + {} registry model(s)", reg.len()),
-        None => String::new(),
-    };
-    if let Some(reg) = registry {
-        app = app.with_registry(reg);
-    }
-    let state = Arc::new(app);
+    let state = Arc::new(dc_net::AppState::new(
+        model,
+        Some(&model_path),
+        threads,
+        obs.clone(),
+    ));
     let config = dc_net::ServerConfig {
         addr: addr.clone(),
         threads,
@@ -892,7 +827,7 @@ fn serve(args: &Args) -> Result<CmdOutput, CmdError> {
     // Readiness line goes to stderr immediately (stdout may carry the
     // `--log json` event stream, and CmdOutput text only prints at exit).
     eprintln!(
-        "serving {model_path}{registry_note}{} on http://{}  ({threads} worker(s), queue depth \
+        "serving {model_path}{} on http://{}  ({threads} worker(s), queue depth \
          {queue_depth}); SIGINT to stop",
         if miner_handle.is_some() {
             " (online mining)"
@@ -1036,107 +971,6 @@ fn online_bootstrap(
     }
     let path = dc_online::model_path(std::path::Path::new(&state_dir), miner.promotions());
     Ok((miner, model, path.display().to_string()))
-}
-
-/// `router`: front a fleet of `serve` shards with consistent-hash
-/// scatter-gather routing until SIGINT.
-fn router(args: &Args) -> Result<CmdOutput, CmdError> {
-    let shards: Vec<String> = args
-        .get("shards")
-        .ok_or_else(|| CmdError::Usage("--shards host:port,host:port,... is required".into()))?
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if shards.is_empty() {
-        return Err(CmdError::Usage("--shards lists no addresses".into()));
-    }
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7979").to_string();
-    let threads: usize = args.get_or("threads", 4)?;
-    if threads == 0 {
-        return Err(CmdError::Usage("--threads must be positive".into()));
-    }
-    let queue_depth: usize = args.get_or("queue-depth", 128)?;
-    if queue_depth == 0 {
-        return Err(CmdError::Usage("--queue-depth must be positive".into()));
-    }
-    let replicas: usize = args.get_or("replicas", 64)?;
-    if replicas == 0 {
-        return Err(CmdError::Usage("--replicas must be positive".into()));
-    }
-    let failure_threshold: u32 = args.get_or("failure-threshold", 3)?;
-    let probe_ms: u64 = args.get_or("probe-interval-ms", 500)?;
-
-    let (obs, metrics) = ObsBuilder::from_args(args)
-        .map_err(CmdError::Usage)?
-        .build();
-    let shard_count = shards.len();
-    let config = dc_router::RouterConfig {
-        shards,
-        replicas,
-        failure_threshold,
-        probe_interval: Duration::from_millis(probe_ms.max(1)),
-        ..dc_router::RouterConfig::default()
-    };
-    // Ring construction fails only on bad input (duplicate address): a
-    // usage error, exit 1.
-    let router = Arc::new(
-        dc_router::Router::new(config, obs.clone()).map_err(|e| CmdError::Usage(e.to_string()))?,
-    );
-
-    // Startup census: a router over a fully unreachable fleet is an
-    // environment problem (exit 2), same family as a missing model file.
-    let reachable = router.probe_all();
-    if reachable == 0 {
-        return Err(CmdError::Io(format!(
-            "none of the {shard_count} shard(s) answered /healthz; is the fleet up?"
-        )));
-    }
-
-    let server_config = dc_net::ServerConfig {
-        addr: addr.clone(),
-        threads,
-        queue_depth,
-        ..dc_net::ServerConfig::default()
-    };
-    let handle = dc_net::serve_handler(server_config, router.clone(), interrupt::flag())
-        .map_err(|e| CmdError::Io(format!("bind {addr}: {e}")))?;
-    let prober = dc_router::Router::spawn_prober(router.clone(), interrupt::flag());
-
-    eprintln!(
-        "routing {shard_count} shard(s) ({reachable} healthy) on http://{}  ({threads} \
-         worker(s), queue depth {queue_depth}); SIGINT to stop",
-        handle.addr()
-    );
-
-    let drained = handle.wait();
-    // The prober watches the same interrupt flag; reap it so shutdown is
-    // clean rather than detached.
-    let _ = prober.join();
-
-    let snap = router.metrics().snapshot();
-    let mut out = format!(
-        "routed {} request(s) ({} prediction(s), {} retried sub-request(s)), {} rejected by \
-         backpressure; {} of {} shard(s) healthy at exit; {}\n",
-        snap.requests,
-        snap.predictions,
-        router.retry_count(),
-        snap.rejected,
-        router.health().healthy_count(),
-        shard_count,
-        if drained {
-            "drained cleanly"
-        } else {
-            "drain deadline hit, stragglers detached"
-        }
-    );
-    obs.flush();
-    if let Some(export) = &metrics {
-        export.write().map_err(|e| CmdError::Io(e.to_string()))?;
-        out.push_str(&format!("event metrics written to {}\n", export.path()));
-    }
-    Ok(CmdOutput::ok(out))
 }
 
 /// One thread-count measurement in the serve-bench report.

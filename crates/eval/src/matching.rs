@@ -93,9 +93,8 @@ pub fn recovery_rate(matches: &[ClusterMatch], threshold: f64) -> f64 {
 ///
 /// Every ratio is a *defined* number for every input: a clustering with
 /// zero found clusters (a baseline that bailed out) or zero reference
-/// clusters scores 0.0, never NaN from a 0/0 division. This is the
-/// cluster-counting complement to the entry-level [`crate::quality`]
-/// conventions.
+/// clusters scores 0.0, never NaN from a 0/0 division — the same
+/// convention the entry-level [`crate::quality`] follows.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MatchSummary {
     /// Ground-truth clusters considered.

@@ -35,21 +35,21 @@ impl Quality {
 
 /// Computes entry-level recall/precision of `found` against `truth`.
 ///
-/// Conventions for empty sides: with no truth entries recall is 1 (nothing
-/// to find); with no found entries precision is 1 (nothing wrong was
-/// reported).
+/// An empty side scores 0.0, never NaN from a 0/0 division: with no truth
+/// entries recall is 0, and with no found entries precision is 0. These
+/// are the conventions of [`crate::match_summary`] at the cluster level.
 pub fn quality(matrix: &DataMatrix, truth: &[DeltaCluster], found: &[DeltaCluster]) -> Quality {
     let u = entry_union(matrix, truth);
     let v = entry_union(matrix, found);
     let intersection = u.intersection_len(&v);
     Quality {
         recall: if u.is_empty() {
-            1.0
+            0.0
         } else {
             intersection as f64 / u.len() as f64
         },
         precision: if v.is_empty() {
-            1.0
+            0.0
         } else {
             intersection as f64 / v.len() as f64
         },
@@ -120,11 +120,11 @@ mod tests {
         let m = matrix();
         let c = vec![DeltaCluster::from_indices(4, 4, [0], [0, 1])];
         let q = quality(&m, &[], &c);
-        assert_eq!(q.recall, 1.0);
+        assert_eq!(q.recall, 0.0);
         assert_eq!(q.precision, 0.0);
         let q = quality(&m, &c, &[]);
         assert_eq!(q.recall, 0.0);
-        assert_eq!(q.precision, 1.0);
+        assert_eq!(q.precision, 0.0);
     }
 
     #[test]

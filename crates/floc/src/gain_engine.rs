@@ -387,8 +387,8 @@ pub(crate) struct ClusterIndex {
     /// One sorted line per member of the line axis ([`Lines`]), over the
     /// cluster's entry-axis members. Empty for non-members.
     lines: Vec<DimIndex>,
-    /// An along apply or a data repair changed the cluster since `lines`
-    /// were built; the next [`IncrementalEngine::prepare`] rebuilds them.
+    /// An along apply changed the cluster since `lines` were built; the
+    /// next [`IncrementalEngine::prepare`] rebuilds them.
     stale: bool,
 }
 
@@ -526,8 +526,7 @@ pub struct IncrementalEngine {
     /// Rebuilds of sides an along apply invalidated, performed by
     /// [`Self::prepare`].
     stale_rebuilds: u64,
-    /// In-place repairs performed by [`Self::apply`] and the row-update
-    /// pair.
+    /// In-place repairs performed by [`Self::apply`].
     repairs: u64,
     /// The rebuild scratch of whoever runs this engine's rebuilds.
     buf: Buckets,
@@ -628,9 +627,9 @@ impl IncrementalEngine {
 
     /// Maintenance tallies since [`Self::build`]: `(stale_rebuilds,
     /// repairs)` — rebuilds of sides an along apply invalidated, in
-    /// [`Self::prepare`], and in-place repairs in [`Self::apply`] and
-    /// [`Self::begin_row_update`]. Read-only diagnostics for
-    /// observability; they never influence the search.
+    /// [`Self::prepare`], and in-place repairs in [`Self::apply`].
+    /// Read-only diagnostics for observability; they never influence the
+    /// search.
     pub fn counters(&self) -> (u64, u64) {
         (self.stale_rebuilds, self.repairs)
     }
@@ -796,63 +795,6 @@ impl IncrementalEngine {
             sum += ci.lines[j].stream(shift, t, mean);
         }
         sum / new_volume as f64
-    }
-
-    /// First half of a single-row **data** repair: call *before* mutating
-    /// any cells of matrix row `row` (the online miner's stream events).
-    ///
-    /// Membership toggles move rows in and out of `I`; a data repair keeps
-    /// `I`/`J` fixed but changes row `row`'s values. Column lines survive
-    /// it surgically: `s_ij = d_ij − d_iJ` of every *other* row is
-    /// independent of row `row`'s data, so only `row`'s own entries need to
-    /// leave the indexes (here, while the pre-mutation sums still reproduce
-    /// the stored values) and re-enter in [`Self::finish_row_update`]. Row
-    /// lines cannot be saved — mutating `row` shifts column bases for every
-    /// member row — so they are marked stale.
-    ///
-    /// Clusters that do not contain `row` are untouched: none of their
-    /// statistics depend on a non-member row's data.
-    pub fn begin_row_update(&mut self, matrix: &DataMatrix, states: &[ClusterState], row: usize) {
-        let mean = self.layout.mean;
-        let line = matrix.row_of(row);
-        for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if !st.rows.contains(row) {
-                continue;
-            }
-            if self.layout.lines == Lines::Rows {
-                ci.stale = true;
-            }
-            if ci.stale {
-                continue; // rebuilt whole by the next prepare
-            }
-            self.repairs += 1;
-            if st.row_specified(row) > 0 {
-                let rb = st.row_sum(row) / st.row_specified(row) as f64;
-                for (j, v) in line.specified_in(&st.cols) {
-                    ci.lines[j].remove(v - rb, row as u32, mean);
-                }
-            }
-        }
-    }
-
-    /// Second half of a single-row data repair: call *after* the matrix
-    /// mutation **and** after every affected [`ClusterState`] has been
-    /// repaired (via [`ClusterState::cell_changed`]), so the post-mutation
-    /// sums produce the new invariant residues.
-    pub fn finish_row_update(&mut self, matrix: &DataMatrix, states: &[ClusterState], row: usize) {
-        let mean = self.layout.mean;
-        let line = matrix.row_of(row);
-        for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if !st.rows.contains(row) || ci.stale {
-                continue;
-            }
-            if st.row_specified(row) > 0 {
-                let rb = st.row_sum(row) / st.row_specified(row) as f64;
-                for (j, v) in line.specified_in(&st.cols) {
-                    ci.lines[j].insert(v - rb, row as u32, mean);
-                }
-            }
-        }
     }
 
     /// Brings the indexes in step with `action`, which the driver is about
@@ -1093,91 +1035,6 @@ mod tests {
                                 "{rows}x{cols} {name} {mean:?} step {step} {q:?}: {got} vs {want}"
                             );
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Single-row data repair (the online miner's stream path): mutate
-    /// cells of one row between `begin_row_update`/`finish_row_update`,
-    /// repair the states with `cell_changed`, and every toggled residue
-    /// must still match the exact scanner — for member and non-member
-    /// rows, updates, deletes, and appends, on a tall matrix (column lines,
-    /// repaired in place) and a wide one (row lines, made stale).
-    #[test]
-    fn engine_survives_single_row_data_repairs() {
-        for (rows, cols) in [(12, 9), (9, 12)] {
-            for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
-                let mut m = random_matrix(rows, cols, 0.8, 21);
-                let mut states = vec![
-                    ClusterState::new(&m, &DeltaCluster::from_indices(rows, cols, 0..6, 0..5)),
-                    ClusterState::new(
-                        &m,
-                        &DeltaCluster::from_indices(rows, cols, [2, 5, 7, rows - 3], [1, 4, 6, 8]),
-                    ),
-                ];
-                let mut engine = IncrementalEngine::build(&m, &states, mean);
-                let mut rng = StdRng::seed_from_u64(77);
-                let mut scratch = Scratch::default();
-
-                for step in 0..25 {
-                    let row = rng.gen_range(0..rows);
-                    engine.begin_row_update(&m, &states, row);
-                    // Mutate up to three cells of the row: update / delete /
-                    // append, drawn at random.
-                    for _ in 0..rng.gen_range(1..=3) {
-                        let col = rng.gen_range(0..cols);
-                        let new = match rng.gen_range(0..3u32) {
-                            0 => None,
-                            _ => Some(rng.gen_range(-50.0..50.0)),
-                        };
-                        let old = match new {
-                            Some(v) => {
-                                let old = m.get(row, col);
-                                m.set(row, col, v);
-                                old
-                            }
-                            None => m.unset(row, col),
-                        };
-                        for st in &mut states {
-                            st.cell_changed(row, col, old, new);
-                        }
-                    }
-                    engine.finish_row_update(&m, &states, row);
-
-                    // Every query of either kind matches, from the repaired
-                    // lines or, while they are stale, by scan.
-                    let targets = (0..rows).map(Target::Row).chain((0..cols).map(Target::Col));
-                    for t in targets {
-                        engine.prepare(&m, &states);
-                        for (k, st) in states.iter().enumerate() {
-                            let exact = match t {
-                                Target::Row(r) => st.residue_if_row_toggled(
-                                    &m,
-                                    r,
-                                    &m.row_of(r),
-                                    mean,
-                                    &mut scratch,
-                                ),
-                                Target::Col(c) => st.residue_if_col_toggled(
-                                    &m,
-                                    c,
-                                    &m.col_of(c),
-                                    mean,
-                                    &mut scratch,
-                                ),
-                            };
-                            let incr = engine.toggled_residue(k, t, &t.line(&m), st, &mut scratch);
-                            let what = format!("{rows}x{cols} step {step} cluster {k} {t:?}");
-                            assert_close(incr, exact, &what);
-                        }
-                    }
-                    // And the repaired states must still match a rebuild.
-                    for st in &states {
-                        let rebuilt = ClusterState::new(&m, &st.to_cluster());
-                        assert_eq!(st.volume(), rebuilt.volume());
-                        assert!((st.total() - rebuilt.total()).abs() < 1e-6);
                     }
                 }
             }

@@ -82,7 +82,6 @@ pub use gain_engine::{GainEngineKind, IncrementalEngine};
 pub use history::{FlocResult, IterationTrace, StopReason};
 pub use ordering::Ordering;
 pub use parallel::floc_parallel;
-#[allow(deprecated)]
 pub use prediction::PredictError;
 pub use residue::{cluster_residue, ResidueMean};
 pub use seeding::{SeedError, Seeding};

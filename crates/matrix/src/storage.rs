@@ -203,9 +203,9 @@ pub struct PagedOptions {
     /// Resident-block cap: `None` = unbounded, `Some(0)` is treated as 1.
     pub cache_blocks: Option<usize>,
     /// Validate every chunk envelope (CRC, header consistency) at open time
-    /// (default `true`). Turning this off makes opening O(metadata) — the
-    /// registry cold-start path — at the cost of surfacing block corruption
-    /// as a panic on first touch instead of a typed error up front.
+    /// (default `true`). Turning this off makes opening O(metadata), a
+    /// fast cold start, at the cost of surfacing block corruption as a
+    /// panic on first touch instead of a typed error up front.
     pub verify_on_open: bool,
 }
 
@@ -1325,7 +1325,7 @@ mod tests {
             Err(PagedError::Io { .. })
         ));
 
-        // Unverified open defers the failure (registry cold-start path).
+        // Unverified open defers the failure (the fast cold-start path).
         let lazy = DataMatrix::open_paged_with(
             &dir,
             PagedOptions {

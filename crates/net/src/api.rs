@@ -4,8 +4,6 @@
 //! |---|---|---|
 //! | `/v1/predict` | POST | `{"row": r, "col": c}` → one prediction; `{"queries": [[r, c], ...]}` → batch fanned through `predict_batch` |
 //! | `/v1/model` | GET | artifact metadata + matrix fingerprint |
-//! | `/v1/models` | GET | registry catalog (404 without `--models`) |
-//! | `/v1/models/<name>/predict` | POST | same bodies as `/v1/predict`, answered by the named registry model |
 //! | `/healthz` | GET | liveness: 200 while the process runs |
 //! | `/readyz` | GET | readiness: 503 during model load/swap |
 //! | `/metrics` | GET | JSON by default; Prometheus text with `?format=prometheus` or `Accept: text/plain` |
@@ -30,17 +28,9 @@ pub fn handle(state: &AppState, req: &Request) -> Response {
         (Method::Get | Method::Head, "/healthz") => healthz(state),
         (Method::Get | Method::Head, "/readyz") => readyz(state),
         (Method::Get | Method::Head, "/v1/model") => model(state),
-        (Method::Get | Method::Head, "/v1/models") => models(state),
         (Method::Get | Method::Head, "/metrics") => metrics(state, req),
         (Method::Post, "/v1/predict") => predict(state, req),
-        (method, path) if named_model_of(path).is_some() => {
-            if *method == Method::Post {
-                predict_named(state, req, named_model_of(path).unwrap())
-            } else {
-                Response::error(405, "use POST").header("Allow", "POST")
-            }
-        }
-        (_, "/healthz" | "/readyz" | "/v1/model" | "/v1/models" | "/metrics") => {
+        (_, "/healthz" | "/readyz" | "/v1/model" | "/metrics") => {
             Response::error(405, "use GET").header("Allow", "GET, HEAD")
         }
         (_, "/v1/predict") => Response::error(405, "use POST").header("Allow", "POST"),
@@ -48,20 +38,9 @@ pub fn handle(state: &AppState, req: &Request) -> Response {
     }
 }
 
-/// The model name in a `/v1/models/<name>/predict` path, if it is one.
-pub fn named_model_of(path: &str) -> Option<&str> {
-    let name = path.strip_prefix("/v1/models/")?.strip_suffix("/predict")?;
-    (!name.is_empty() && !name.contains('/')).then_some(name)
-}
-
-/// Whether a path answers predictions (default or named model).
-pub fn is_predict_path(path: &str) -> bool {
-    path == "/v1/predict" || named_model_of(path).is_some()
-}
-
 /// Number of predictions a response carried, for the predictions counter.
 pub fn predictions_in(req: &Request, resp: &Response) -> u64 {
-    if is_predict_path(&req.path) && resp.status == 200 {
+    if req.path == "/v1/predict" && resp.status == 200 {
         // Cheap structural count: one result object per "outcome" key.
         let body = String::from_utf8_lossy(&resp.body);
         body.matches("\"outcome\"").count() as u64
@@ -115,27 +94,6 @@ fn model(state: &AppState) -> Response {
         }
         Err(e) => Response::error(500, &format!("metadata serialization failed: {e}")),
     }
-}
-
-/// `GET /v1/models`: the registry catalog with residency flags.
-fn models(state: &AppState) -> Response {
-    let Some(registry) = state.registry() else {
-        return Response::error(404, "no model registry (start with --models DIR)");
-    };
-    let mut body = String::from("{\"models\": [");
-    for (i, info) in registry.list().iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        let name = info.name.replace('\\', "\\\\").replace('"', "\\\"");
-        let version = info.version.replace('\\', "\\\\").replace('"', "\\\"");
-        body.push_str(&format!(
-            "{{\"name\": \"{name}\", \"version\": \"{version}\", \"bytes\": {}, \"resident\": {}}}",
-            info.bytes, info.resident
-        ));
-    }
-    body.push_str("]}\n");
-    Response::json(200, body)
 }
 
 fn metrics(state: &AppState, req: &Request) -> Response {
@@ -214,23 +172,7 @@ fn predict(state: &AppState, req: &Request) -> Response {
     // a complete model, so queries arriving mid-swap answer from whichever
     // snapshot the lock hands them — old or new, never an error, never a
     // mix. `/readyz` stays the place where load balancers see the swap.
-    predict_with(state, req, &state.engine())
-}
-
-/// `POST /v1/models/<name>/predict`: same bodies as `/v1/predict`,
-/// answered by a registry model (lazily loaded on first use).
-fn predict_named(state: &AppState, req: &Request, name: &str) -> Response {
-    let Some(registry) = state.registry() else {
-        return Response::error(404, "no model registry (start with --models DIR)");
-    };
-    match registry.get(name) {
-        Ok(engine) => predict_with(state, req, &engine),
-        Err(e @ dc_serve::RegistryError::UnknownModel(_)) => Response::error(404, &e.to_string()),
-        Err(e) => Response::error(500, &e.to_string()),
-    }
-}
-
-fn predict_with(state: &AppState, req: &Request, engine: &dc_serve::QueryEngine) -> Response {
+    let engine = state.engine();
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
         Err(_) => return Response::error(400, "body is not valid UTF-8"),
@@ -531,72 +473,6 @@ mod tests {
             "{body}"
         );
         assert!(body.contains("dc_miner_promotions_total 7"), "{body}");
-    }
-
-    #[test]
-    fn models_routes_404_without_a_registry() {
-        let s = state();
-        assert_eq!(handle(&s, &get("/v1/models")).status, 404);
-        let r = handle(
-            &s,
-            &request(
-                "POST",
-                "/v1/models/x/predict",
-                Some("{\"row\":0,\"col\":0}"),
-            ),
-        );
-        assert_eq!(r.status, 404);
-    }
-
-    #[test]
-    fn named_model_paths_parse_strictly() {
-        assert_eq!(named_model_of("/v1/models/abc/predict"), Some("abc"));
-        assert_eq!(named_model_of("/v1/models//predict"), None);
-        assert_eq!(named_model_of("/v1/models/a/b/predict"), None);
-        assert_eq!(named_model_of("/v1/models/predict"), None);
-        assert_eq!(named_model_of("/v1/models"), None);
-        assert!(is_predict_path("/v1/predict"));
-        assert!(is_predict_path("/v1/models/m/predict"));
-        assert!(!is_predict_path("/v1/models"));
-    }
-
-    #[test]
-    fn registry_backed_routes_list_and_predict() {
-        let dir = std::env::temp_dir().join(format!("dc-api-registry-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dc_serve::save(&model_4x4(), dir.join("fixture@1.dcm")).unwrap();
-        let registry =
-            std::sync::Arc::new(dc_serve::ModelRegistry::open(&dir, 2, Obs::null()).unwrap());
-        let s = state().with_registry(registry);
-
-        let r = handle(&s, &get("/v1/models"));
-        assert_eq!(r.status, 200);
-        let body = body_str(&r);
-        assert!(body.contains("\"name\": \"fixture\""), "{body}");
-        assert!(body.contains("\"resident\": false"), "{body}");
-        serde_json::parse_value(&body).unwrap();
-
-        // Named predict answers exactly like the default model.
-        let body = "{\"queries\": [[0,0],[3,3],[1,2]]}";
-        let named = handle(
-            &s,
-            &request("POST", "/v1/models/fixture/predict", Some(body)),
-        );
-        let default = handle(&s, &request("POST", "/v1/predict", Some(body)));
-        assert_eq!(named.status, 200);
-        assert_eq!(
-            named.body, default.body,
-            "registry model must answer identically"
-        );
-        let req = request("POST", "/v1/models/fixture/predict", Some(body));
-        assert_eq!(predictions_in(&req, &named), 3);
-
-        // Unknown names 404; wrong method 405.
-        let r = handle(&s, &request("POST", "/v1/models/nope/predict", Some(body)));
-        assert_eq!(r.status, 404);
-        assert_eq!(handle(&s, &get("/v1/models/fixture/predict")).status, 405);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod pool;
 pub mod server;
 pub mod state;
 
-pub use client::{ClientConfig, ClientError, ClientPool, ClientResponse, HttpClient};
+pub use client::{ClientConfig, ClientError, ClientResponse, HttpClient};
 pub use http::{Limits, Method, RecvError, Request, Response};
 pub use metrics::{MetricsReport, ServerMetrics};
 pub use pool::{BoundedQueue, PushError, WorkerPool};

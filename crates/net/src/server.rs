@@ -2,8 +2,8 @@
 //!
 //! Data path: `TcpListener` → accept thread → [`BoundedQueue`] →
 //! worker pool → [`HttpReader`] keep-alive loop → [`RequestHandler`] →
-//! whatever the handler fronts (a `QueryEngine` for [`AppState`], a shard
-//! fleet for `dc-router`). Backpressure lives at the queue boundary: a
+//! whatever the handler fronts (a `QueryEngine` for [`AppState`]).
+//! Backpressure lives at the queue boundary: a
 //! full queue answers `503 Service Unavailable` with `Retry-After: 1` at
 //! accept time and closes, so memory stays bounded no matter how fast
 //! clients arrive.
@@ -31,9 +31,9 @@ use std::time::{Duration, Instant};
 
 /// What the serving machinery needs from an application: route a request,
 /// and expose the metrics/observability sinks the connection loop reports
-/// into. [`AppState`] implements this for the single-model query API;
-/// `dc-router` implements it for the scatter-gather front tier — both ride
-/// the same accept loop, bounded queue, and drain logic.
+/// into. [`AppState`] implements this for the query API; tests substitute
+/// their own handlers through [`serve_handler`], riding the same accept
+/// loop, bounded queue, and drain logic.
 pub trait RequestHandler: Send + Sync + 'static {
     /// Routes one request. Must not panic on hostile input.
     fn handle(&self, req: &Request) -> Response;
@@ -99,9 +99,9 @@ impl Default for ServerConfig {
 /// A running server. Dropping the handle signals shutdown but does not
 /// wait; call [`shutdown`](ServerHandle::shutdown) for the bounded drain.
 ///
-/// Generic over the handler so the router tier reuses the machinery; the
-/// default keeps existing `ServerHandle` (= `ServerHandle<AppState>`)
-/// signatures compiling unchanged.
+/// Generic over the handler so [`serve_handler`] can front any
+/// [`RequestHandler`]; the default keeps `ServerHandle` (=
+/// `ServerHandle<AppState>`) signatures short.
 pub struct ServerHandle<H: RequestHandler = AppState> {
     addr: SocketAddr,
     state: Arc<H>,

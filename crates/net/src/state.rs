@@ -18,7 +18,7 @@
 
 use crate::metrics::ServerMetrics;
 use dc_obs::Obs;
-use dc_serve::{ModelRegistry, QueryEngine, ServeModel};
+use dc_serve::{QueryEngine, ServeModel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,9 +85,6 @@ pub struct AppState {
     pub batch_threads: usize,
     pub metrics: ServerMetrics,
     pub obs: Obs,
-    /// Named-model registry behind `/v1/models`, when serving started with
-    /// one (`serve --models DIR`). The default model keeps `/v1/predict`.
-    registry: Option<Arc<ModelRegistry>>,
     /// Integer gauges rendered on `/metrics` (`set_gauge`).
     gauges: RwLock<BTreeMap<String, u64>>,
     /// Raw-JSON fragments spliced into `/healthz` and `/v1/model`
@@ -109,22 +106,9 @@ impl AppState {
             batch_threads: batch_threads.max(1),
             metrics: ServerMetrics::new(),
             obs,
-            registry: None,
             gauges: RwLock::new(BTreeMap::new()),
             status: RwLock::new(BTreeMap::new()),
         }
-    }
-
-    /// Attaches a model registry, enabling `GET /v1/models` and
-    /// `POST /v1/models/<name>/predict` alongside the default model.
-    pub fn with_registry(mut self, registry: Arc<ModelRegistry>) -> AppState {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// The attached registry, if any.
-    pub fn registry(&self) -> Option<&Arc<ModelRegistry>> {
-        self.registry.as_ref()
     }
 
     /// The consistent engine+metadata snapshot a request answers from.

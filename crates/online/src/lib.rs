@@ -17,9 +17,8 @@
 //!   is killed at *any* instruction resumes bit-identically from the last
 //!   one on disk.
 //! * [`miner`] — the deterministic state machine: apply a batch of events
-//!   with O(1)-per-cell repair of the incumbent [`dc_floc::ClusterState`]s
-//!   and the incremental gain engine's sorted prefix-sum indices, rebase
-//!   the FLOC checkpoint onto the mutated matrix, run a bounded phase-2
+//!   with O(1)-per-cell repair of the incumbent [`dc_floc::ClusterState`]s,
+//!   rebase the FLOC checkpoint onto the mutated matrix, run a bounded phase-2
 //!   refinement round, and promote the model when it improved by a margin.
 //!   Promotion is generation-numbered and staged (checkpoint → model →
 //!   install → checkpoint), so a crash at any point either rolls forward or

@@ -6,15 +6,8 @@
 //! 1. **Apply** the next `batch` events to the matrix. Each event touches
 //!    one `(row, col)` cell; the incumbent clusters' sufficient statistics
 //!    are repaired in O(1) per affected cluster
-//!    ([`ClusterState::cell_changed`]). The incremental gain engine's
-//!    sorted prefix-sum indices go through
-//!    [`IncrementalEngine::begin_row_update`] /
-//!    [`IncrementalEngine::finish_row_update`]: when their lines run along
-//!    columns (a matrix at least as tall as it is wide) only that row's
-//!    entries are repaired surgically; when they run along rows, the
-//!    row's new data moves every column base, so the pair marks the
-//!    containing clusters' indexes stale for the engine's next
-//!    [`IncrementalEngine::prepare`] to rebuild.
+//!    ([`ClusterState::cell_changed`]). Refinement builds its own gain
+//!    engine from these states, so the miner keeps no index to repair.
 //! 2. **Rebase** the FLOC checkpoint onto the mutated matrix
 //!    ([`FlocCheckpoint::rebase`]): residues are recomputed canonically,
 //!    the RNG state carries over, so the search trajectory stays a pure
@@ -42,10 +35,7 @@ use crate::source::{load_events, SourceSpec};
 use crate::OnlineError;
 use dc_datagen::stream::{RatingEvent, RatingOp};
 use dc_fault::chaos::safepoint;
-use dc_floc::{
-    CheckpointLog, ClusterState, FlocCheckpoint, FlocConfig, IncrementalEngine, InterruptFlag,
-    StopReason,
-};
+use dc_floc::{CheckpointLog, ClusterState, FlocCheckpoint, FlocConfig, InterruptFlag, StopReason};
 use dc_matrix::DataMatrix;
 use dc_obs::{Field, Obs};
 use dc_serve::ServeModel;
@@ -131,16 +121,14 @@ pub struct Miner {
     floc: FlocCheckpoint,
     /// Incumbent clusters' sufficient statistics, repaired per event.
     states: Vec<ClusterState>,
-    /// Incremental gain engine over the incumbents, repaired per event.
-    engine: IncrementalEngine,
     cursor: usize,
     gen: u64,
     promotions: u64,
     promoted_avg_residue: f64,
     refinements: u64,
-    /// Engine repairs carried over from before index rebuilds (the live
-    /// engine's own counter resets when refinement replaces the clusters).
-    repairs_before_rebuild: u64,
+    /// Cluster-state repairs made by *this process*: one per event for
+    /// each incumbent whose rows contain the event's row.
+    repairs: u64,
     interrupt: Arc<AtomicBool>,
     obs: Obs,
 }
@@ -246,7 +234,6 @@ impl Miner {
             .iter()
             .map(|c| ClusterState::new(&matrix, c))
             .collect();
-        let engine = IncrementalEngine::build(&matrix, &states, ckpt.floc.config.mean);
 
         obs.emit(
             "miner.recovered",
@@ -269,13 +256,12 @@ impl Miner {
             matrix,
             floc: ckpt.floc,
             states,
-            engine,
             cursor,
             gen,
             promotions: ckpt.promotions,
             promoted_avg_residue: ckpt.promoted_avg_residue,
             refinements: 0,
-            repairs_before_rebuild: 0,
+            repairs: 0,
             interrupt,
             obs,
             config,
@@ -334,19 +320,17 @@ impl Miner {
             .iter()
             .map(|c| ClusterState::new(&matrix, c))
             .collect();
-        let engine = IncrementalEngine::build(&matrix, &states, first.config.mean);
         let mut miner = Miner {
             events,
             matrix,
             floc: first,
             states,
-            engine,
             cursor,
             gen: 0,
             promotions: 0,
             promoted_avg_residue: f64::INFINITY,
             refinements: 1,
-            repairs_before_rebuild: 0,
+            repairs: 0,
             interrupt,
             obs,
             config,
@@ -379,11 +363,7 @@ impl Miner {
                 .states
                 .iter()
                 .any(|s| s.rows.contains(row) && s.cols.contains(col));
-            // Surgical single-row repair: remove the row's index entries
-            // under the old data, mutate, patch the O(1) statistics, then
-            // reinsert under the new data.
-            self.engine
-                .begin_row_update(&self.matrix, &self.states, row);
+            self.repairs += self.states.iter().filter(|s| s.rows.contains(row)).count() as u64;
             let old = self.matrix.get(row, col);
             let new = match e.op {
                 RatingOp::Set(v) => {
@@ -398,8 +378,6 @@ impl Miner {
             for s in &mut self.states {
                 s.cell_changed(row, col, old, new);
             }
-            self.engine
-                .finish_row_update(&self.matrix, &self.states, row);
         }
         self.cursor = end;
 
@@ -429,7 +407,7 @@ impl Miner {
             }
             self.refinements += 1;
             self.floc = log.last().expect("a finished round emits a final snapshot");
-            self.rebuild_incremental();
+            self.rebuild_states();
         } else {
             self.floc = rebased;
         }
@@ -506,15 +484,13 @@ impl Miner {
         Ok(())
     }
 
-    fn rebuild_incremental(&mut self) {
-        self.repairs_before_rebuild += self.engine.counters().1;
+    fn rebuild_states(&mut self) {
         self.states = self
             .floc
             .clusters
             .iter()
             .map(|c| ClusterState::new(&self.matrix, c))
             .collect();
-        self.engine = IncrementalEngine::build(&self.matrix, &self.states, self.floc.config.mean);
     }
 
     /// Events applied so far.
@@ -548,10 +524,10 @@ impl Miner {
         self.refinements
     }
 
-    /// Surgical index repairs performed by the incremental engine over the
-    /// life of this process.
+    /// Cluster-state repairs over the life of this process: one per event
+    /// for each incumbent cluster whose rows contain the event's row.
     pub fn repairs(&self) -> u64 {
-        self.repairs_before_rebuild + self.engine.counters().1
+        self.repairs
     }
 
     /// Test hook: the in-memory matrix, mining snapshot, and repaired

@@ -31,7 +31,7 @@
 //!      a typed error if the pages are missing, corrupt, the wrong shape,
 //!      or their content no longer matches the fingerprint. This keeps the
 //!      artifact O(model) instead of O(data) for out-of-core matrices and
-//!      lets the serving registry cold-start straight from pages.
+//!      lets `serve` cold-start straight from pages.
 //! 2. **Labels** — `u8` flags (bit 0: row labels present, bit 1: column
 //!    labels); each present label list is `len`-prefixed UTF-8 strings.
 //! 3. **Clusters** — `u64 k`, then per cluster the ascending row indices
@@ -50,8 +50,10 @@ use dc_floc::residue::Bases;
 use dc_floc::DeltaCluster;
 use dc_matrix::framing::{Reader, Writer};
 use dc_matrix::{DataMatrix, ValueStorage};
+use dc_obs::{EventKind, Field, Obs};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
+use std::time::Instant;
 
 pub use crate::framing::ArtifactError;
 
@@ -439,6 +441,32 @@ pub fn load(path: impl AsRef<Path>) -> Result<ServeModel, ArtifactError> {
     }
 }
 
+/// [`load`] that also emits a `serve.model_load` span (artifact bytes,
+/// cluster count, load µs), so the CLI `serve` path's cold-start cost is
+/// observable.
+pub fn load_observed(path: impl AsRef<Path>, obs: &Obs) -> Result<ServeModel, ArtifactError> {
+    let path = path.as_ref();
+    let started = Instant::now();
+    let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    let model = load(path)?;
+    if obs.enabled() {
+        let micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let path_text = path.display().to_string();
+        obs.emit_full(
+            EventKind::Span,
+            "serve.model_load",
+            &[
+                Field::new("path", path_text.as_str()),
+                Field::new("bytes", bytes),
+                Field::new("clusters", model.k()),
+                Field::new("load_micros", micros),
+            ],
+            None,
+        );
+    }
+    Ok(model)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,5 +805,22 @@ mod tests {
         save(&model, &json).unwrap();
         assert!(std::fs::read_to_string(&json).unwrap().starts_with('{'));
         assert!(load(&json).unwrap() == model);
+    }
+
+    #[test]
+    fn observed_loads_emit_model_load_spans() {
+        let dir = std::env::temp_dir().join("dc-serve-artifact-observed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let model = sample_model(false);
+        let path = dir.join("model.dcm");
+        save(&model, &path).unwrap();
+
+        let sink = dc_obs::MemorySink::new();
+        assert!(load_observed(&path, &Obs::new(sink.clone())).unwrap() == model);
+        let loads = sink.named("serve.model_load");
+        assert_eq!(loads.len(), 1);
+        assert!(loads[0].u64_field("bytes").unwrap() > 0);
+        assert_eq!(loads[0].u64_field("clusters"), Some(2));
+        assert!(loads[0].u64_field("load_micros").is_some());
     }
 }

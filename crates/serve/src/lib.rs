@@ -49,16 +49,14 @@ pub mod checkpoint;
 pub mod engine;
 pub mod framing;
 pub mod model;
-pub mod registry;
 pub mod stats;
 
-pub use artifact::{load, save, ArtifactError};
+pub use artifact::{load, load_observed, save, ArtifactError};
 pub use checkpoint::{
     checkpoint_from_bytes, checkpoint_to_bytes, load_checkpoint, save_checkpoint,
 };
 pub use engine::QueryEngine;
 pub use model::{ModelError, ServeModel};
-pub use registry::{load_observed, ModelInfo, ModelRegistry, RegistryError};
 pub use stats::{MetricsSnapshot, QueryOutcome, QueryStats};
 
 // Re-exported so downstream code can match on prediction errors without

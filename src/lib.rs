@@ -57,7 +57,6 @@ pub use dc_matrix as matrix;
 pub use dc_net as net;
 pub use dc_obs as obs;
 pub use dc_online as online;
-pub use dc_router as router;
 pub use dc_serve as serve;
 pub use dc_subspace as subspace;
 
@@ -75,7 +74,6 @@ pub mod prelude {
     pub use dc_bicluster::{cheng_church, Bicluster, ChengChurchConfig};
     pub use dc_datagen::{EmbedConfig, MicroarrayConfig, MovieLensConfig};
     pub use dc_eval::{diameter, match_clusters, quality};
-    #[allow(deprecated)]
     pub use dc_floc::{
         cluster_residue, floc, floc_parallel, floc_resume_with, floc_with, CheckpointLog,
         Constraint, DeltaCluster, FlocCheckpoint, FlocConfig, FlocResult, InterruptFlag, Ordering,
@@ -88,7 +86,6 @@ pub mod prelude {
     pub use dc_net::{serve as serve_http, AppState, HttpClient, ServerConfig, ServerHandle};
     pub use dc_obs::{JsonSink, MemorySink, MetricsSink, NullSink, Obs, Sink, TextSink};
     pub use dc_online::{spawn_miner, Miner, MinerConfig, OnlineError, SourceSpec};
-    pub use dc_router::{HashRing, Router, RouterConfig};
     pub use dc_serve::{load_checkpoint, save_checkpoint, PredictError, QueryEngine, ServeModel};
     pub use dc_subspace::{alternative, clique, AlternativeConfig, CliqueConfig};
 }
