@@ -110,9 +110,24 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 }
 
 /// CRC-32 (IEEE) of `bytes`.
+///
+/// On x86-64 CPUs with `pclmulqdq` and `sse4.1`, inputs of at least
+/// 64 bytes go through the carry-less-multiply kernel; everything else
+/// takes the slicing-by-16 table loop. Both compute the same checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::available() {
+        // SAFETY: `available` just confirmed the CPU features the kernel
+        // is compiled for.
+        return !unsafe { clmul::update(!0, bytes) };
+    }
+    !crc32_update(!0, bytes)
+}
+
+/// Advances the (pre-inverted) CRC-32 register `crc` over `bytes` with the
+/// slicing-by-16 tables.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut blocks = bytes.chunks_exact(16);
     for block in &mut blocks {
         let b: &[u8; 16] = block.try_into().expect("chunks_exact(16) yields 16 bytes");
@@ -137,7 +152,115 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// CRC-32 by carry-less-multiply folding (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009), with
+/// the bit-reflected constants of Linux's `crc32-pclmul`.
+///
+/// Four 128-bit lanes fold 64 bytes per step; the lanes then fold into one,
+/// which takes the remaining 16-byte blocks. A 128 → 64 → 32-bit
+/// reduction and a Barrett step give the register, and the table loop
+/// finishes any tail under 16 bytes from it. SSE4.2's `crc32` instruction
+/// is no substitute: it computes CRC-32C (Castagnoli), another polynomial.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// The shortest input the kernel folds: one block per lane.
+    const MIN_LEN: usize = 64;
+
+    // Folding constants (x^n mod P(x), bit-reflected). K1/K2 carry a lane
+    // 512 bits ahead, K3/K4 carry 128 bits, K5 folds 64 → 32 bits.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    // P(x) with its x^32 term, and the Barrett constant μ = ⌊x^64 / P(x)⌋.
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Whether this CPU can run [`update`].
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    fn load(block: &[u8]) -> __m128i {
+        let block: &[u8; 16] = block.try_into().expect("folded blocks are 16 bytes");
+        // SAFETY: `block` is 16 readable bytes, `loadu` has no alignment
+        // requirement and SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// Carries `acc` forward by the distance `k` encodes (low constant
+    /// times the low half, high times the high half) and adds `data`.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold(acc: __m128i, k: __m128i, data: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, k, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), data)
+    }
+
+    /// Advances the (pre-inverted) CRC-32 register `crc` over `bytes`.
+    /// Inputs shorter than [`MIN_LEN`] go to the table loop.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` and `sse4.1` ([`available`]).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn update(crc: u32, bytes: &[u8]) -> u32 {
+        if bytes.len() < MIN_LEN {
+            return super::crc32_update(crc, bytes);
+        }
+        let (body, tail) = bytes.split_at(bytes.len() & !15);
+        let (head, mut rest) = body.split_at(MIN_LEN);
+        // SAFETY (for every `fold` and intrinsic below): the caller
+        // guarantees `pclmulqdq` and `sse4.1`, which this function enables.
+        let mut x0 = _mm_xor_si128(load(&head[..16]), _mm_cvtsi32_si128(crc as i32));
+        let mut x1 = load(&head[16..32]);
+        let mut x2 = load(&head[32..48]);
+        let mut x3 = load(&head[48..]);
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while rest.len() >= MIN_LEN {
+            x0 = fold(x0, k1k2, load(&rest[..16]));
+            x1 = fold(x1, k1k2, load(&rest[16..32]));
+            x2 = fold(x2, k1k2, load(&rest[32..48]));
+            x3 = fold(x3, k1k2, load(&rest[48..64]));
+            rest = &rest[MIN_LEN..];
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(x0, k3k4, x1);
+        x = fold(x, k3k4, x2);
+        x = fold(x, k3k4, x3);
+        for block in rest.chunks_exact(16) {
+            x = fold(x, k3k4, load(block));
+        }
+
+        // 128 → 64 bits: K4 times the low half, added to the high half.
+        x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(k3k4, x, 0x01));
+        // 64 → 32 bits, leaving 32 zero bits appended to the message.
+        let mask32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(
+            _mm_srli_si128(x, 4),
+            _mm_clmulepi64_si128(_mm_and_si128(x, mask32), _mm_set_epi64x(0, K5), 0x00),
+        );
+        // Barrett reduction: the register is x mod P(x), read from bits 32..64.
+        let pmu = _mm_set_epi64x(MU, P);
+        let q = _mm_clmulepi64_si128(_mm_and_si128(x, mask32), pmu, 0x10);
+        let qp = _mm_clmulepi64_si128(_mm_and_si128(q, mask32), pmu, 0x00);
+        let folded = _mm_extract_epi32(_mm_xor_si128(x, qp), 1) as u32;
+        super::crc32_update(folded, tail)
+    }
 }
 
 // ---- encoding ------------------------------------------------------------
@@ -381,6 +504,43 @@ mod tests {
         // One buffer the size of a mine-paged block file.
         let block = &buf[3..3 + 12_837];
         assert_eq!(crc32(block), naive_crc32(block));
+    }
+
+    /// Asserts that every CRC-32 path gives the bitwise oracle's value on
+    /// `s`: the dispatching `crc32`, the table loop, and the carry-less-
+    /// multiply kernel called directly when this CPU can run it.
+    fn assert_crc_paths_agree(s: &[u8], what: std::fmt::Arguments<'_>) {
+        let want = naive_crc32(s);
+        assert_eq!(crc32(s), want, "crc32, {what}");
+        assert_eq!(!crc32_update(!0, s), want, "table loop, {what}");
+        #[cfg(target_arch = "x86_64")]
+        if clmul::available() {
+            // SAFETY: `available` just confirmed the kernel's CPU features.
+            let kernel = !unsafe { clmul::update(!0, s) };
+            assert_eq!(kernel, want, "clmul kernel, {what}");
+        }
+    }
+
+    #[test]
+    fn crc32_kernel_table_loop_and_bitwise_oracle_agree() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..(1 << 20) + 16)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        // Crosses the kernel's 64-byte threshold and every tail length.
+        for start in 0..16 {
+            for len in 0..=1024 {
+                let s = &buf[start..start + len];
+                assert_crc_paths_agree(s, format_args!("start {start} len {len}"));
+            }
+        }
+        assert_crc_paths_agree(&buf[3..3 + 12_837], format_args!("12,837-byte block"));
+        assert_crc_paths_agree(&buf[..1 << 20], format_args!("1 MiB"));
     }
 
     #[test]

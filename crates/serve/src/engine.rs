@@ -98,7 +98,8 @@ impl QueryEngine {
     }
 
     /// Answers a batch of queries on `threads` scoped worker threads,
-    /// returning results in query order.
+    /// returning results in query order. One thread means the caller's own:
+    /// no thread is spawned.
     ///
     /// Each worker owns a contiguous slice of the output and a thread-local
     /// [`QueryStats`]; tallies are merged into the shared aggregator once
@@ -118,29 +119,17 @@ impl QueryEngine {
         let threads = threads.clamp(1, queries.len());
         let mut results: Vec<Result<f64, PredictError>> =
             vec![Err(PredictError::NotCovered); queries.len()];
-        let chunk = queries.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for (qchunk, rchunk) in queries.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move |_| {
-                    let mut local = QueryStats::new();
-                    let observe = self.obs.enabled();
-                    for (&(row, col), slot) in qchunk.iter().zip(rchunk.iter_mut()) {
-                        let start = Instant::now();
-                        let result = self.model.predict(row, col);
-                        let latency = start.elapsed();
-                        let outcome = outcome_of(&result);
-                        local.record(outcome, latency);
-                        if observe {
-                            let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
-                            self.emit_query(row, col, outcome, nanos, true);
-                        }
-                        *slot = result;
-                    }
-                    self.stats.lock().merge(&local);
-                });
-            }
-        })
-        .expect("prediction worker panicked");
+        if threads == 1 {
+            self.answer_chunk(queries, &mut results);
+        } else {
+            let chunk = queries.len().div_ceil(threads);
+            crossbeam::thread::scope(|scope| {
+                for (qchunk, rchunk) in queries.chunks(chunk).zip(results.chunks_mut(chunk)) {
+                    scope.spawn(move |_| self.answer_chunk(qchunk, rchunk));
+                }
+            })
+            .expect("prediction worker panicked");
+        }
         if self.obs.enabled() {
             let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             let qps = if nanos == 0 {
@@ -161,6 +150,26 @@ impl QueryEngine {
             );
         }
         results
+    }
+
+    /// One worker's share of [`QueryEngine::predict_batch`]: answers
+    /// `queries` into `results` and merges its tallies once.
+    fn answer_chunk(&self, queries: &[(usize, usize)], results: &mut [Result<f64, PredictError>]) {
+        let mut local = QueryStats::new();
+        let observe = self.obs.enabled();
+        for (&(row, col), slot) in queries.iter().zip(results.iter_mut()) {
+            let start = Instant::now();
+            let result = self.model.predict(row, col);
+            let latency = start.elapsed();
+            let outcome = outcome_of(&result);
+            local.record(outcome, latency);
+            if observe {
+                let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
+                self.emit_query(row, col, outcome, nanos, true);
+            }
+            *slot = result;
+        }
+        self.stats.lock().merge(&local);
     }
 
     /// A snapshot of the accumulated statistics.
@@ -287,6 +296,36 @@ mod tests {
         // Observed and unobserved engines answer identically.
         let plain = engine();
         assert_eq!(e.model().predict(1, 1), plain.model().predict(1, 1));
+    }
+
+    /// Records the thread that emitted each `serve.query` event.
+    #[derive(Clone, Default)]
+    struct QueryThreads(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl dc_obs::Sink for QueryThreads {
+        fn emit(&self, event: &dc_obs::Event<'_>) {
+            if event.name == "serve.query" {
+                self.0.lock().push(std::thread::current().id());
+            }
+        }
+    }
+
+    #[test]
+    fn one_thread_batch_stays_on_the_caller() {
+        let threads = QueryThreads::default();
+        let e = engine_with(Obs::new(threads.clone()));
+        let queries: Vec<(usize, usize)> =
+            (0..6).flat_map(|r| (0..6).map(move |c| (r, c))).collect();
+        let per_query: Vec<_> = queries.iter().map(|&(r, c)| e.predict(r, c)).collect();
+        threads.0.lock().clear();
+
+        assert_eq!(e.predict_batch(&queries, 1), per_query);
+        let caller = std::thread::current().id();
+        let seen = threads.0.lock().clone();
+        assert_eq!(seen.len(), queries.len());
+        assert!(seen.iter().all(|&id| id == caller));
+
+        assert_eq!(e.predict_batch(&queries, 4), per_query);
     }
 
     #[test]
