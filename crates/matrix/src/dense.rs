@@ -693,6 +693,15 @@ impl DataMatrix {
         }
     }
 
+    /// Block files the paged backend holds open; 0 on the memory backend.
+    #[cfg(test)]
+    pub(crate) fn open_block_files(&self) -> usize {
+        match &self.values {
+            Store::Memory(_) => 0,
+            Store::Paged(p) => p.open_files(),
+        }
+    }
+
     /// A fully resident copy of this matrix: reads every page of a paged
     /// matrix into a memory-backed twin (equal by `==` and by
     /// [`Self::fingerprint`]). A memory matrix just clones. Costs O(data)

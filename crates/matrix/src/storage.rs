@@ -44,12 +44,24 @@
 //! the offending path, because the accessor API (`row_of`, `col_of`…)
 //! has no error channel by design.
 //!
+//! Block files are read through held-open handles, at most 64 of them
+//! per matrix (the least recently used is closed beyond that), so a miss
+//! on a held block is one positional read into a reused buffer. The
+//! verifying open reads through the same handles. Every read still checks
+//! the CRC, the header against the metadata and the exact length: a file
+//! truncated or extended in place is caught at its next miss.
+//!
 //! Mutations (`set`, appends) land in resident chunks, which are pinned in
 //! the cache (never evicted) until [`crate::DataMatrix::flush`] writes them
 //! back; the metadata file is rewritten on flush, so a crash between flushes
 //! rolls back to the previous consistent state. A mutation loads its chunk
 //! and changes it under the cache's one lock: clones of a paged matrix share
 //! the cache, and another handle's miss must not evict the chunk in between.
+//! A flush closes a block's handle before it replaces the file, so the
+//! matrix's next miss on that block opens the new file. A block file
+//! replaced behind an open matrix by another process is not seen while its
+//! handle is held. Two openers of one directory were never kept consistent:
+//! the second opener's resident blocks were already stale.
 
 use crate::atomic::atomic_write;
 use crate::bitset::BitSet;
@@ -57,6 +69,8 @@ use crate::dense::{DataMatrix, Store, ValueStorage, Values, ValuesSlice};
 use crate::framing::{FrameError, Reader, Writer};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::fs::File;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -65,6 +79,8 @@ const CHUNK_MAGIC: [u8; 4] = *b"DCPB";
 const META_VERSION: u16 = 1;
 const CHUNK_VERSION: u16 = 1;
 const WORD_BITS: usize = 64;
+/// Block files one paged matrix (and its clones) keeps open at most.
+const HANDLE_CAP: usize = 64;
 
 /// Default rows per block: 4096 rows × 100 f64 columns ≈ 3.2 MB per chunk.
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
@@ -240,11 +256,11 @@ fn storage_tag(s: ValueStorage) -> u8 {
     }
 }
 
-fn storage_from_tag(tag: u8, path: &Path) -> Result<ValueStorage, PagedError> {
+fn storage_from_tag(tag: u8) -> Result<ValueStorage, String> {
     match tag {
         0 => Ok(ValueStorage::F64),
         1 => Ok(ValueStorage::F32),
-        other => Err(corrupt(path, format!("unknown storage tag {other}"))),
+        other => Err(format!("unknown storage tag {other}")),
     }
 }
 
@@ -306,23 +322,39 @@ struct ChunkExpect {
     storage: ValueStorage,
 }
 
-fn decode_chunk(bytes: &[u8], path: &Path, expect: &ChunkExpect) -> Result<Chunk, PagedError> {
-    let mut r =
-        Reader::open(bytes, CHUNK_MAGIC, CHUNK_VERSION).map_err(|source| PagedError::Frame {
-            path: path.to_path_buf(),
-            source,
-        })?;
+impl ChunkExpect {
+    /// Length of the valid block file: the 8-byte envelope header, the
+    /// 25-byte chunk header (index, start row, rows, storage tag), the
+    /// values and the 4-byte CRC trailer. Saturates on absurd shapes,
+    /// which the decode then rejects.
+    fn file_len(&self) -> usize {
+        let width = match self.storage {
+            ValueStorage::F64 => 8,
+            ValueStorage::F32 => 4,
+        };
+        self.n_rows
+            .saturating_mul(self.cols)
+            .saturating_mul(width)
+            .saturating_add(8 + 25 + 4)
+    }
+}
+
+/// Decodes block file bytes read from `dir`, checking them against the
+/// metadata. The block's path is only built to report an error.
+fn decode_chunk(bytes: &[u8], dir: &Path, expect: &ChunkExpect) -> Result<Chunk, PagedError> {
+    let path = || chunk_path(dir, expect.index);
     let frame = |source| PagedError::Frame {
-        path: path.to_path_buf(),
+        path: path(),
         source,
     };
+    let mut r = Reader::open(bytes, CHUNK_MAGIC, CHUNK_VERSION).map_err(frame)?;
     let index = r.u64().map_err(frame)? as usize;
     let start_row = r.u64().map_err(frame)? as usize;
     let n_rows = r.u64().map_err(frame)? as usize;
-    let storage = storage_from_tag(r.u8().map_err(frame)?, path)?;
+    let storage = storage_from_tag(r.u8().map_err(frame)?).map_err(|d| corrupt(&path(), d))?;
     if index != expect.index || start_row != expect.start_row || n_rows != expect.n_rows {
         return Err(corrupt(
-            path,
+            &path(),
             format!(
                 "chunk header (index {index}, rows {start_row}+{n_rows}) does not match \
                  metadata (index {}, rows {}+{})",
@@ -332,7 +364,7 @@ fn decode_chunk(bytes: &[u8], path: &Path, expect: &ChunkExpect) -> Result<Chunk
     }
     if storage != expect.storage {
         return Err(corrupt(
-            path,
+            &path(),
             "chunk storage precision differs from metadata",
         ));
     }
@@ -343,7 +375,7 @@ fn decode_chunk(bytes: &[u8], path: &Path, expect: &ChunkExpect) -> Result<Chunk
     let payload_len = n_rows
         .checked_mul(expect.cols)
         .and_then(|n| n.checked_mul(width))
-        .ok_or_else(|| corrupt(path, "chunk dimensions overflow"))?;
+        .ok_or_else(|| corrupt(&path(), "chunk dimensions overflow"))?;
     let payload = r.take(payload_len).map_err(frame)?;
     let values = match storage {
         ValueStorage::F64 => Values::F64(
@@ -421,7 +453,7 @@ fn decode_meta(bytes: &[u8], path: &Path) -> Result<Meta, PagedError> {
     };
     let rows = r.u64().map_err(frame)? as usize;
     let cols = r.u64().map_err(frame)? as usize;
-    let storage = storage_from_tag(r.u8().map_err(frame)?, path)?;
+    let storage = storage_from_tag(r.u8().map_err(frame)?).map_err(|d| corrupt(path, d))?;
     let chunk_rows = r.u64().map_err(frame)? as usize;
     if chunk_rows == 0 {
         return Err(corrupt(path, "chunk_rows must be at least 1"));
@@ -489,9 +521,44 @@ struct Cache {
     cap: Option<usize>,
     hits: u64,
     misses: u64,
+    /// Open block files, least-recently-used first, at most [`HANDLE_CAP`].
+    files: Vec<(usize, File)>,
+    /// The bytes of the last block read, reused by the next.
+    buf: Vec<u8>,
 }
 
 impl Cache {
+    /// Reads and validates the block `expect` describes from `dir`. A held
+    /// block file costs one positional read; any other is opened and held,
+    /// closing the least recently used file beyond [`HANDLE_CAP`].
+    fn read_chunk(&mut self, dir: &Path, expect: &ChunkExpect) -> Result<Chunk, PagedError> {
+        let index = expect.index;
+        match self.files.iter().position(|&(i, _)| i == index) {
+            Some(pos) => {
+                let held = self.files.remove(pos);
+                self.files.push(held);
+            }
+            None => {
+                let path = chunk_path(dir, index);
+                let file = File::open(&path).map_err(|e| io_err(&path, e))?;
+                if self.files.len() == HANDLE_CAP {
+                    self.files.remove(0);
+                }
+                self.files.push((index, file));
+            }
+        }
+        let (_, file) = self.files.last().expect("the block's file was just pushed");
+        read_file(file, expect.file_len(), &mut self.buf)
+            .map_err(|e| io_err(&chunk_path(dir, index), e))?;
+        decode_chunk(&self.buf, dir, expect)
+    }
+
+    /// Closes block `index`'s file if it is held, so the next read opens
+    /// whatever file is then at its path.
+    fn close_file(&mut self, index: usize) {
+        self.files.retain(|&(i, _)| i != index);
+    }
+
     fn touch(&mut self, index: usize) {
         if let Some(pos) = self.lru.iter().position(|&i| i == index) {
             self.lru.remove(pos);
@@ -555,6 +622,8 @@ impl PagedStore {
                     cap: opts.normalized_cap(),
                     hits: 0,
                     misses: 0,
+                    files: Vec::new(),
+                    buf: Vec::new(),
                 }),
             }),
             rows: meta.rows,
@@ -605,12 +674,6 @@ impl PagedStore {
         }
     }
 
-    fn read_chunk(&self, index: usize) -> Result<Chunk, PagedError> {
-        let path = chunk_path(&self.shared.dir, index);
-        let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-        decode_chunk(&bytes, &path, &self.expect_for(index))
-    }
-
     /// Makes chunk `index` resident in the locked `cache`, counting the hit
     /// or miss and marking it most recently used, without enforcing the
     /// cap. Callers that mutate the chunk do so under the same lock, so no
@@ -625,8 +688,8 @@ impl PagedStore {
             cache.hits += 1;
         } else {
             cache.misses += 1;
-            let chunk = self
-                .read_chunk(index)
+            let chunk = cache
+                .read_chunk(&self.shared.dir, &self.expect_for(index))
                 .unwrap_or_else(|e| panic!("paged matrix block became unreadable after open: {e}"));
             cache.resident.insert(index, Arc::new(chunk));
         }
@@ -740,6 +803,8 @@ impl PagedStore {
         let mut dirty: Vec<usize> = cache.dirty.iter().copied().collect();
         dirty.sort_unstable();
         for index in dirty {
+            // A held handle would keep reading the replaced file.
+            cache.close_file(index);
             let chunk = cache
                 .resident
                 .get(&index)
@@ -792,6 +857,49 @@ impl PagedStore {
             misses: cache.misses,
         }
     }
+
+    /// Block files currently held open.
+    #[cfg(test)]
+    pub(crate) fn open_files(&self) -> usize {
+        self.shared.cache.lock().unwrap().files.len()
+    }
+}
+
+/// Reads block file `file`, `len` bytes long when valid, into `buf`: one
+/// positional read of `len + 1` bytes, which a valid file fills to exactly
+/// `len`. Any other outcome (a short, grown or failed read) reads the whole
+/// file instead, so the decode reports what the file holds.
+fn read_file(mut file: &File, len: usize, buf: &mut Vec<u8>) -> io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    // Only growth past the last block read is zero-filled.
+    buf.resize(len.saturating_add(1), 0);
+    if let Ok(n) = read_head(file, buf) {
+        if n == len {
+            buf.truncate(len);
+            return Ok(());
+        }
+    }
+    buf.clear();
+    file.seek(SeekFrom::Start(0))?;
+    file.read_to_end(buf).map(drop)
+}
+
+/// One read from the start of `file`.
+#[cfg(unix)]
+fn read_head(file: &File, buf: &mut [u8]) -> io::Result<usize> {
+    std::os::unix::fs::FileExt::read_at(file, buf, 0)
+}
+
+#[cfg(windows)]
+fn read_head(file: &File, buf: &mut [u8]) -> io::Result<usize> {
+    std::os::windows::fs::FileExt::seek_read(file, buf, 0)
+}
+
+#[cfg(not(any(unix, windows)))]
+fn read_head(mut file: &File, buf: &mut [u8]) -> io::Result<usize> {
+    use std::io::{Read, Seek, SeekFrom};
+    file.seek(SeekFrom::Start(0))?;
+    file.read(buf)
 }
 
 /// Parts of an opened paged directory, consumed by
@@ -812,10 +920,11 @@ pub(crate) fn open_paged_dir(dir: &Path, opts: &PagedOptions) -> Result<OpenedPa
     let meta = decode_meta(&bytes, &mpath)?;
     let store = PagedStore::new(dir.to_path_buf(), &meta, opts);
     if opts.verify_on_open {
+        let mut cache = store.shared.cache.lock().expect("block cache poisoned");
         for index in 0..store.n_chunks() {
             // Decode fully (CRC + header + exact payload length) and drop;
-            // the cache starts cold either way.
-            store.read_chunk(index)?;
+            // the cache starts cold either way, its block files open.
+            cache.read_chunk(dir, &store.expect_for(index))?;
         }
     }
     Ok(OpenedPaged {
@@ -1444,6 +1553,115 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(twin.fingerprint(), m.fingerprint());
+    }
+
+    #[test]
+    fn own_flush_reopens_the_replaced_block_file() {
+        let dir = scratch("reopen");
+        let _ = MatrixBuilder::dense(5, 2)
+            .paged(&dir)
+            .chunk_rows(2)
+            .from_rows((0..10).map(|i| i as f64).collect())
+            .unwrap();
+        let opts = PagedOptions {
+            cache_blocks: Some(1),
+            ..PagedOptions::default()
+        };
+        let mut m = DataMatrix::open_paged_with(&dir, opts).unwrap();
+        assert_eq!(m.get(0, 1), Some(1.0)); // block 0 resident, its file held
+        assert!(m.open_block_files() > 0);
+        m.set(0, 1, 42.5);
+        m.flush().unwrap();
+        assert_eq!(m.get(2, 0), Some(4.0)); // block 1 evicts block 0
+        assert_eq!(m.get(0, 1), Some(42.5), "block 0 re-read from the new file");
+
+        // The same for rows appended into the tail block (row 4 alone).
+        assert_eq!(m.get(4, 0), Some(8.0));
+        m.append_row(&[Some(-1.5), None]).unwrap();
+        m.flush().unwrap();
+        assert_eq!(m.get(0, 0), Some(0.0)); // block 0 evicts the tail
+        assert_eq!(m.get(5, 0), Some(-1.5), "tail re-read from the new file");
+        assert_eq!(m.get(5, 1), None);
+        assert_eq!(
+            m.fingerprint(),
+            DataMatrix::open_paged(&dir).unwrap().fingerprint()
+        );
+    }
+
+    #[test]
+    fn open_files_stay_under_the_cap_and_lines_match_the_cells() {
+        let dir = scratch("handle-cap");
+        let (rows, cols) = (200, 3);
+        let data: Vec<Option<f64>> = (0..rows * cols)
+            .map(|i| (i % 11 != 4).then_some(i as f64 * 0.375 - 50.0))
+            .collect();
+        let m = MatrixBuilder::dense(rows, cols)
+            .paged(&dir)
+            .chunk_rows(1)
+            .cache_blocks(Some(1))
+            .from_options(data.clone())
+            .unwrap();
+        assert!(rows > HANDLE_CAP);
+        let check = |line: &crate::Line<'_>, cell: &dyn Fn(usize) -> Option<f64>| {
+            for i in 0..line.len() {
+                assert_eq!(line.is_specified(i), cell(i).is_some());
+                assert_eq!(line.get(i).to_bits(), cell(i).unwrap_or(0.0).to_bits());
+            }
+            assert!(m.open_block_files() <= HANDLE_CAP);
+        };
+        for _ in 0..2 {
+            for c in 0..cols {
+                check(&m.col_of(c), &|r| data[r * cols + c]);
+            }
+            for r in (0..rows).rev() {
+                check(&m.row_of(r), &|c| data[r * cols + c]);
+            }
+        }
+        assert_eq!(m.open_block_files(), HANDLE_CAP);
+    }
+
+    #[test]
+    fn block_changed_in_place_panics_with_its_path() {
+        for delta in [-1, 1] {
+            assert_in_place_change_panics(delta);
+        }
+    }
+
+    /// Opens a verified four-block matrix at cache 1, changes block 2's
+    /// file in place by `delta` bytes, and checks that its next miss
+    /// panics with the block's path.
+    fn assert_in_place_change_panics(delta: i64) {
+        let dir = scratch(&format!("in-place{delta}"));
+        let _ = MatrixBuilder::dense(4, 2)
+            .paged(&dir)
+            .chunk_rows(1)
+            .from_rows((0..8).map(|i| i as f64).collect())
+            .unwrap();
+        let opts = PagedOptions {
+            cache_blocks: Some(1),
+            ..PagedOptions::default()
+        };
+        let m = DataMatrix::open_paged_with(&dir, opts).unwrap();
+        assert_eq!(
+            m.open_block_files(),
+            4,
+            "the verifying open holds every file"
+        );
+        let victim = chunk_path(&dir, 2);
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&victim)
+            .unwrap();
+        let len = file.metadata().unwrap().len();
+        file.set_len(len.checked_add_signed(delta).unwrap())
+            .unwrap();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.get(2, 0)))
+            .expect_err("a block changed in place must not decode");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains(&victim.display().to_string()), "{msg}");
     }
 
     #[test]
