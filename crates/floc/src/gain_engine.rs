@@ -22,7 +22,9 @@
 //! toggled residue is a closed form:
 //!
 //! * arithmetic mean: `Σ|s − t| = (lo·t − pre[lo]) + (pre[n] − pre[lo] −
-//!   (n−lo)·t)` where `lo = #{s < t}` from one binary search;
+//!   (n−lo)·t)` where `lo = #{s < t}` from a search that gallops from
+//!   where the last one on the line landed (`t` moves little from one
+//!   target to the next);
 //! * squared mean: `Σ(s − t)² = pre²[n] − 2t·pre[n] + n·t²`, no search,
 //!   where `pre²` holds prefix sums of squares.
 //!
@@ -83,8 +85,12 @@
 //! clusters score it. Rebuilds read the cluster row by row in either
 //! orientation — lines along columns bucket the entries by column in one
 //! row-major pass — so on the paged backend a rebuild reads each block
-//! once rather than once per column. Each build worker and each lane's
-//! engine owns one bucket buffer (`Buckets`) for every rebuild it runs.
+//! once rather than once per column. Each line is then sorted by
+//! distributing its entries over equal-width value buckets, falling back
+//! to a comparison sort on lines it cannot split well; the `(value, id)`
+//! keys are unique, so both sorts give the same line. Each build worker
+//! and each lane's engine owns one bucket buffer (`Buckets`) for every
+//! rebuild it runs.
 //!
 //! The driver rebuilds the whole engine from the canonical cluster states
 //! at every iteration boundary — the *drift guard* that keeps long runs
@@ -225,6 +231,147 @@ fn prefix_width(mean: ResidueMean) -> usize {
     }
 }
 
+/// The `(value, id)` order of a line's entries.
+fn cmp_entries(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Lines shorter than this sort by comparison: the bucket sort's passes
+/// cost more than they save.
+const BUCKET_SORT_MIN_LEN: usize = 64;
+
+/// A bucket holding more entries than this sends its line back to the
+/// comparison sort, since the final insertion pass is quadratic in a
+/// bucket's size (many tied values land in one bucket).
+const BUCKET_MAX_LEN: usize = 32;
+
+/// Scratch of the line sort, owned with a rebuild's [`Buckets`].
+#[derive(Debug, Default)]
+struct LineSort {
+    /// Each entry's value bucket.
+    keys: Vec<u32>,
+    /// Per-bucket counts, then write cursors.
+    starts: Vec<u32>,
+}
+
+/// Sorts `buf` by `(value, id)` into `vals` / `ids` with `buf.len()`
+/// equal-width value buckets: a counting pass, a scatter, and one
+/// insertion pass that only has to order each bucket, since the bucket
+/// index never decreases as the value grows. Returns `false`, having
+/// written nothing, for a line it leaves to the comparison sort: a short
+/// line, a non-finite value, a range too narrow to split, or a crowded
+/// bucket.
+fn bucket_sort(
+    buf: &[(f64, u32)],
+    vals: &mut Vec<f64>,
+    ids: &mut Vec<u32>,
+    sort: &mut LineSort,
+) -> bool {
+    let n = buf.len();
+    if n < BUCKET_SORT_MIN_LEN {
+        return false;
+    }
+    let (mut min, mut max, mut finite) = (buf[0].0, buf[0].0, true);
+    for &(v, _) in buf {
+        if v < min {
+            min = v;
+        }
+        if v > max {
+            max = v;
+        }
+        finite &= v.is_finite();
+    }
+    let scale = n as f64 / (max - min);
+    if !(finite && scale.is_finite() && scale > 0.0) {
+        return false; // a non-finite value, or all values (nearly) equal
+    }
+    // Monotone in the value: a subtraction, a positive scaling, the cap
+    // and the truncation each keep order, and ±0.0 share a bucket.
+    let top = (n - 1) as f64;
+    let LineSort { keys, starts } = sort;
+    keys.clear();
+    keys.extend(
+        buf.iter()
+            .map(|&(v, _)| ((v - min) * scale).min(top) as u32),
+    );
+    starts.clear();
+    starts.resize(n, 0);
+    for &k in keys.iter() {
+        starts[k as usize] += 1;
+    }
+    if starts.iter().any(|&c| c as usize > BUCKET_MAX_LEN) {
+        return false;
+    }
+    let mut end = 0;
+    for s in starts.iter_mut() {
+        let count = *s;
+        *s = end;
+        end += count;
+    }
+    vals.clear();
+    vals.resize(n, 0.0);
+    ids.clear();
+    ids.resize(n, 0);
+    for (&(v, id), &k) in buf.iter().zip(keys.iter()) {
+        let slot = &mut starts[k as usize];
+        vals[*slot as usize] = v;
+        ids[*slot as usize] = id;
+        *slot += 1;
+    }
+    // Every entry is out of place only within its bucket.
+    for i in 1..n {
+        let key = (vals[i], ids[i]);
+        if vals[i - 1] < key.0 {
+            continue; // already in order, the common case
+        }
+        let mut j = i;
+        while j > 0 && cmp_entries(&key, &(vals[j - 1], ids[j - 1])).is_lt() {
+            vals[j] = vals[j - 1];
+            ids[j] = ids[j - 1];
+            j -= 1;
+        }
+        vals[j] = key.0;
+        ids[j] = key.1;
+    }
+    true
+}
+
+/// `vals.partition_point(|&s| s < t)` on a line sorted by `total_cmp`,
+/// found by galloping from `hint` to a bracket and binary searching
+/// inside it. `s < t` is monotone along such a line (±0.0 compare equal,
+/// and lines hold no NaN), so its partition point is unique and the
+/// answer does not depend on where the search starts; a hint near the
+/// answer only makes it cheap.
+fn partition_from(vals: &[f64], t: f64, hint: usize) -> usize {
+    let hint = hint.min(vals.len());
+    // The answer lies in lo..=hi: vals[..lo] < t and vals[hi..] >= t.
+    let (mut lo, mut hi) = (0, vals.len());
+    let mut step = 1;
+    if vals.get(hint).is_some_and(|&s| s < t) {
+        lo = hint + 1;
+        while let Some(&s) = vals.get(lo + step - 1) {
+            if s < t {
+                lo += step;
+                step *= 2;
+            } else {
+                hi = lo + step - 1;
+                break;
+            }
+        }
+    } else {
+        hi = hint;
+        while step <= hi {
+            if vals[hi - step] < t {
+                lo = hi - step + 1;
+                break;
+            }
+            hi -= step;
+            step *= 2;
+        }
+    }
+    lo + vals[lo..hi].partition_point(|&s| s < t)
+}
+
 impl DimIndex {
     fn clear(&mut self) {
         self.vals.clear();
@@ -232,39 +379,20 @@ impl DimIndex {
         self.pre.clear();
     }
 
-    #[cfg(test)]
-    fn push(&mut self, val: f64, id: u32) {
-        self.vals.push(val);
-        self.ids.push(id);
-    }
-
-    /// Sorts by `(value, id)` and (re)builds the prefix array.
-    #[cfg(test)]
-    fn finish(&mut self, mean: ResidueMean) {
-        let mut order: Vec<u32> = (0..self.vals.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.vals[a as usize]
-                .total_cmp(&self.vals[b as usize])
-                .then(self.ids[a as usize].cmp(&self.ids[b as usize]))
-        });
-        let vals: Vec<f64> = order.iter().map(|&i| self.vals[i as usize]).collect();
-        let ids: Vec<u32> = order.iter().map(|&i| self.ids[i as usize]).collect();
-        self.vals = vals;
-        self.ids = ids;
-        self.rebuild_prefixes(mean);
-    }
-
     /// Replaces the contents from a caller-owned buffer of `(value, id)`
-    /// pairs, reusing this index's allocations across rebuilds. Sorting by
-    /// `(value, id)` with unique ids yields exactly the order
-    /// [`Self::finish`] produces, so the two construction paths are
-    /// interchangeable.
-    fn assign_sorted(&mut self, buf: &mut [(f64, u32)], mean: ResidueMean) {
-        buf.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        self.vals.clear();
-        self.ids.clear();
-        self.vals.extend(buf.iter().map(|p| p.0));
-        self.ids.extend(buf.iter().map(|p| p.1));
+    /// pairs, sorted by `(value, id)`, reusing this index's allocations and
+    /// the caller's `sort` scratch across rebuilds. Ids are unique, so the
+    /// `(value, id)` keys are, and every correct sort lays the line out the
+    /// same: the bucket sort and its comparison-sort fallback agree bit for
+    /// bit.
+    fn assign_sorted(&mut self, buf: &mut [(f64, u32)], sort: &mut LineSort, mean: ResidueMean) {
+        if !bucket_sort(buf, &mut self.vals, &mut self.ids, sort) {
+            buf.sort_unstable_by(cmp_entries);
+            self.vals.clear();
+            self.ids.clear();
+            self.vals.extend(buf.iter().map(|p| p.0));
+            self.ids.extend(buf.iter().map(|p| p.1));
+        }
         self.rebuild_prefixes(mean);
     }
 
@@ -275,14 +403,21 @@ impl DimIndex {
         self.repair_prefixes_from(0, mean);
     }
 
-    /// First position at or after which `(val, id)` sorts.
+    /// First position at or after which `(val, id)` sorts: one binary
+    /// search on the `(value, id)` key, however many stored values tie
+    /// with `val`.
     fn position(&self, val: f64, id: u32) -> usize {
-        let mut pos = self.vals.partition_point(|&v| v.total_cmp(&val).is_lt());
-        while pos < self.vals.len() && self.vals[pos].total_cmp(&val).is_eq() && self.ids[pos] < id
-        {
-            pos += 1;
+        let (mut lo, mut hi) = (0, self.vals.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let key = (self.vals[mid], self.ids[mid]);
+            if cmp_entries(&key, &(val, id)).is_lt() {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        pos
+        lo
     }
 
     /// Overwrites the prefix sums after position `pos` in place. Sums up
@@ -345,17 +480,20 @@ impl DimIndex {
         self.repair_prefixes_from(at, mean);
     }
 
-    /// `Σ term(vals[i] − t)` over every entry, in `O(log n)` (arithmetic)
-    /// or `O(1)` (squared).
+    /// `Σ term(vals[i] − t)` over every entry, in `O(log d)` (arithmetic,
+    /// d the distance from `hint` to the answer) or `O(1)` (squared).
+    /// `hint` is where the arithmetic mean's search starts, and it is left
+    /// at the search's answer for the next query on this line.
     #[inline]
-    fn query(&self, t: f64, mean: ResidueMean) -> f64 {
+    fn query(&self, t: f64, mean: ResidueMean, hint: &mut u32) -> f64 {
         let n = self.vals.len();
         if n == 0 {
             return 0.0;
         }
         match mean {
             ResidueMean::Arithmetic => {
-                let lo = self.vals.partition_point(|&s| s < t);
+                let lo = partition_from(&self.vals, t, *hint as usize);
+                *hint = lo as u32;
                 let (below, all) = (self.pre[lo], self.pre[n]);
                 let left = t * lo as f64 - below;
                 let right = (all - below) - t * (n - lo) as f64;
@@ -405,6 +543,8 @@ pub(crate) struct Buckets {
     /// Column bases hoisted out of the entry loop, one division per member
     /// column instead of one per entry (row lines).
     base: Vec<f64>,
+    /// The line sort's scratch (`DimIndex::assign_sorted`).
+    sort: LineSort,
 }
 
 impl ClusterIndex {
@@ -448,7 +588,12 @@ impl ClusterIndex {
         mean: ResidueMean,
         buf: &mut Buckets,
     ) {
-        let Buckets { entries, next, .. } = buf;
+        let Buckets {
+            entries,
+            next,
+            sort,
+            ..
+        } = buf;
         next.clear();
         next.resize(matrix.cols(), 0);
         let mut end = 0;
@@ -471,7 +616,7 @@ impl ClusterIndex {
         let mut start = 0;
         for j in st.cols.iter() {
             // Each cursor has advanced to its bucket's end.
-            self.lines[j].assign_sorted(&mut entries[start..next[j]], mean);
+            self.lines[j].assign_sorted(&mut entries[start..next[j]], sort, mean);
             start = next[j];
         }
     }
@@ -484,7 +629,12 @@ impl ClusterIndex {
         mean: ResidueMean,
         buf: &mut Buckets,
     ) {
-        let Buckets { entries, base, .. } = buf;
+        let Buckets {
+            entries,
+            base,
+            sort,
+            ..
+        } = buf;
         base.clear();
         base.resize(matrix.cols(), 0.0);
         for j in st.cols.iter() {
@@ -497,7 +647,7 @@ impl ClusterIndex {
             for (j, v) in matrix.row_specified_in(i, &st.cols) {
                 entries.push((v - base[j], j as u32));
             }
-            self.lines[i].assign_sorted(entries, mean);
+            self.lines[i].assign_sorted(entries, sort, mean);
         }
     }
 }
@@ -659,7 +809,8 @@ impl IncrementalEngine {
             "cluster {cluster}'s index side is stale: prepare before querying"
         );
         if self.layout.lines.across(target) {
-            self.residue_across(ci, target, line, st)
+            let hints = scratch.hints(cluster, ci.lines.len());
+            self.residue_across(ci, target, line, st, hints)
         } else {
             self.residue_along(ci, target, line, st, scratch)
         }
@@ -667,12 +818,14 @@ impl IncrementalEngine {
 
     /// The closed form for `target`, a member of the entry axis toggled
     /// across the lines: each line's stored values shift by one constant.
+    /// `hints` holds one search start per line (`DimIndex::query`).
     fn residue_across(
         &self,
         ci: &ClusterIndex,
         target: Target,
         line: &Line,
         st: &ClusterState,
+        hints: &mut [u32],
     ) -> f64 {
         let mean = self.layout.mean;
         let (lines, entries) = self.layout.lines.axes(st);
@@ -718,7 +871,7 @@ impl IncrementalEngine {
             }
             let line_base = if ln <= 0 { base } else { ls / ln as f64 };
             let t = line_base - base;
-            sum += ci.lines[j].query(t, mean);
+            sum += ci.lines[j].query(t, mean, &mut hints[j]);
             if spec {
                 if adding {
                     sum += entering_term(mean, target, v, new_tb, line_base, base);
@@ -1174,20 +1327,167 @@ mod tests {
         assert_eq!(GainEngineKind::Incremental.to_string(), "incremental");
     }
 
+    /// A line built through `assign_sorted` from `entries`.
+    fn line_of(entries: &[(f64, u32)], mean: ResidueMean) -> DimIndex {
+        let mut d = DimIndex::default();
+        d.assign_sorted(&mut entries.to_vec(), &mut LineSort::default(), mean);
+        d
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn dim_index_queries_match_naive() {
         for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
-            let mut d = DimIndex::default();
-            for (i, v) in [3.0, -1.5, 0.0, 7.25, -1.5, 2.0].iter().enumerate() {
-                d.push(*v, i as u32);
-            }
-            d.finish(mean);
+            let values = [3.0, -1.5, 0.0, 7.25, -1.5, 2.0];
+            let entries: Vec<(f64, u32)> = (0..).zip(values).map(|(i, v)| (v, i)).collect();
+            let d = line_of(&entries, mean);
+            let mut hint = 0;
             for t in [-3.0, -1.5, 0.0, 1.9, 7.25, 10.0] {
                 let naive: f64 = d.vals.iter().map(|&s| mean.entry_term(s - t)).sum();
-                assert!((d.query(t, mean) - naive).abs() < 1e-12, "{mean:?} at {t}");
+                let got = d.query(t, mean, &mut hint);
+                assert!((got - naive).abs() < 1e-12, "{mean:?} at {t}");
             }
-            assert_eq!(DimIndex::default().query(1.0, mean), 0.0);
+            assert_eq!(DimIndex::default().query(1.0, mean, &mut 0), 0.0);
         }
+    }
+
+    /// The bucket sort lays out every line bit for bit as the comparison
+    /// sort on `(total_cmp, id)` does, on the inputs that stress its
+    /// bucketing, and it leaves exactly the lines it should to the
+    /// fallback.
+    #[test]
+    fn bucket_sort_matches_the_comparison_sort_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(41);
+        // (name, values, whether the bucket sort takes the line)
+        let mut cases: Vec<(String, Vec<f64>, bool)> = Vec::new();
+        let cut = BUCKET_SORT_MIN_LEN;
+        for n in [0, 1, cut - 1, cut, cut + 1, 1_000] {
+            let long = n >= cut;
+            let uniform = (0..n).map(|_| rng.gen_range(-30.0..30.0)).collect();
+            cases.push((format!("uniform {n}"), uniform, long));
+            cases.push((format!("all equal {n}"), vec![2.5; n], false));
+            let zeros = (0..n).map(|i| [0.0, -0.0][i % 2]).collect();
+            cases.push((format!("±0.0 {n}"), zeros, false));
+            let signed = (0..n)
+                .map(|i| match i % 100 {
+                    0 => 0.0,
+                    50 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect();
+            cases.push((format!("±0.0 mixed {n}"), signed, long));
+            let mut outlier: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            if let Some(v) = outlier.last_mut() {
+                *v = 1e300; // every other value shares bucket 0
+            }
+            cases.push((format!("huge outlier {n}"), outlier, false));
+            // n / range overflows: too narrow to split.
+            let subnormal = (0..n)
+                .map(|_| f64::from_bits(rng.gen_range(1..1u64 << 20)))
+                .collect();
+            cases.push((format!("subnormal {n}"), subnormal, false));
+            // Eight values: at most 9 entries a bucket on the short lines,
+            // 125 on the longest.
+            let ties = (0..n)
+                .map(|_| rng.gen_range(-4i32..4) as f64 * 0.37)
+                .collect();
+            cases.push((format!("few distinct {n}"), ties, long && n < 100));
+        }
+        let mut sort = LineSort::default();
+        for (name, values, bucketed) in cases {
+            let mut ids: Vec<u32> = (0..values.len() as u32).map(|i| i * 7 + 3).collect();
+            for _ in 0..3 {
+                // Ids in any order, unique.
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.gen_range(0..=i));
+                }
+                let entries: Vec<(f64, u32)> = values.iter().copied().zip(ids.clone()).collect();
+                let mut want = entries.clone();
+                want.sort_unstable_by(cmp_entries);
+                let want_vals: Vec<f64> = want.iter().map(|e| e.0).collect();
+                let want_ids: Vec<u32> = want.iter().map(|e| e.1).collect();
+                let (mut vals, mut got_ids) = (Vec::new(), Vec::new());
+                let took = bucket_sort(&entries, &mut vals, &mut got_ids, &mut sort);
+                assert_eq!(took, bucketed, "{name}");
+                if took {
+                    assert_eq!(bits(&vals), bits(&want_vals), "{name}");
+                    assert_eq!(got_ids, want_ids, "{name}");
+                } else {
+                    assert!(
+                        vals.is_empty() && got_ids.is_empty(),
+                        "{name}: wrote on fallback"
+                    );
+                }
+                for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+                    let d = line_of(&entries, mean);
+                    assert_eq!(bits(&d.vals), bits(&want_vals), "{name} ({mean:?})");
+                    assert_eq!(d.ids, want_ids, "{name} ({mean:?})");
+                }
+            }
+        }
+    }
+
+    /// The galloping search finds `partition_point`'s answer from every
+    /// start, with `t` below, at, between and above the stored values.
+    #[test]
+    fn galloping_search_matches_partition_point_from_every_hint() {
+        let lines: [&[f64]; 5] = [
+            &[],
+            &[1.0],
+            &[-3.0, -1.5, -1.5, -0.0, 0.0, 0.0, 2.0, 7.25, 7.25, 7.25, 9.0],
+            &[4.0; 9],
+            &[
+                -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0,
+            ],
+        ];
+        for vals in lines {
+            let mut ts = vec![f64::NEG_INFINITY, -1e9, 1e9, f64::INFINITY];
+            for w in vals.windows(2) {
+                ts.push((w[0] + w[1]) / 2.0);
+            }
+            ts.extend(vals.iter().flat_map(|&v| [v, v - 0.25, v + 0.25, -v]));
+            for t in ts {
+                let want = vals.partition_point(|&s| s < t);
+                for hint in 0..=vals.len() + 1 {
+                    assert_eq!(
+                        partition_from(vals, t, hint),
+                        want,
+                        "{vals:?} t {t} hint {hint}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An insert into or a removal from a 2,000-entry line of one value
+    /// lands by id, as a fresh sort of the same entries would place it.
+    #[test]
+    fn position_on_an_all_tied_line_orders_by_id() {
+        let mean = ResidueMean::Arithmetic;
+        let entries: Vec<(f64, u32)> = (0..2_000).map(|i| (0.0, 2 * i)).collect();
+        let mut d = line_of(&entries, mean);
+        for (id, want) in [
+            (0, 0),
+            (1, 1),
+            (1_999, 1_000),
+            (3_998, 1_999),
+            (4_001, 2_000),
+        ] {
+            assert_eq!(d.position(0.0, id), want, "id {id}");
+        }
+        assert_eq!(d.position(-0.0, 5), 0, "-0.0 sorts before every 0.0");
+        assert_eq!(d.position(1e-300, 0), 2_000);
+        d.insert(0.0, 1_001, mean);
+        d.remove(0.0, 1_000, mean);
+        let mut live = entries.clone();
+        live.retain(|e| e.1 != 1_000);
+        live.push((0.0, 1_001));
+        let fresh = line_of(&live, mean);
+        assert_eq!(d.ids, fresh.ids);
+        assert_eq!(bits(&d.pre), bits(&fresh.pre));
     }
 
     /// In-place insert/remove repair is bit-identical to a fresh
@@ -1202,9 +1502,7 @@ mod tests {
             let draw = |rng: &mut StdRng| rng.gen_range(-25i32..25) as f64 * 0.37 + 0.1;
             let mut live: Vec<(f64, u32)> = (0..400).map(|id| (draw(&mut rng), id)).collect();
             let mut next_id = live.len() as u32;
-            let mut d = DimIndex::default();
-            d.assign_sorted(&mut live.clone(), mean);
-            let mut fresh = DimIndex::default();
+            let mut d = line_of(&live, mean);
             for step in 0..2_500 {
                 let grow = live.len() < 300 || (live.len() < 500 && rng.gen_bool(0.5));
                 if grow {
@@ -1216,8 +1514,7 @@ mod tests {
                     let (val, id) = live.swap_remove(rng.gen_range(0..live.len()));
                     d.remove(val, id, mean);
                 }
-                fresh.assign_sorted(&mut live.clone(), mean);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let fresh = line_of(&live, mean);
                 assert_eq!(bits(&d.vals), bits(&fresh.vals), "vals, step {step}");
                 assert_eq!(d.ids, fresh.ids, "ids, step {step}");
                 assert_eq!(
@@ -1237,11 +1534,7 @@ mod tests {
     #[test]
     fn dim_index_insert_remove_roundtrip() {
         let mean = ResidueMean::Arithmetic;
-        let mut d = DimIndex::default();
-        d.push(1.0, 4);
-        d.push(-2.0, 1);
-        d.push(1.0, 2);
-        d.finish(mean);
+        let mut d = line_of(&[(1.0, 4), (-2.0, 1), (1.0, 2)], mean);
         d.insert(0.5, 9, mean);
         d.insert(1.0, 3, mean); // tie on value, id orders it between 2 and 4
         assert_eq!(d.ids, vec![1, 9, 2, 3, 4]);
@@ -1249,7 +1542,7 @@ mod tests {
         d.remove(-2.0, 1, mean);
         assert_eq!(d.ids, vec![9, 2, 4]);
         let naive: f64 = d.vals.iter().map(|&s| (s - 0.3).abs()).sum();
-        assert!((d.query(0.3, mean) - naive).abs() < 1e-12);
+        assert!((d.query(0.3, mean, &mut 3) - naive).abs() < 1e-12);
     }
 
     /// The one-pass bucketed column-line rebuild lays out every column
@@ -1267,15 +1560,14 @@ mod tests {
             };
             let mut ci = ClusterIndex::new(&m, layout.lines);
             ci.rebuild(&m, &st, layout, &mut Buckets::default());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for j in 0..9 {
                 let mut want = DimIndex::default();
                 if st.cols.contains(j) {
-                    let mut column: Vec<(f64, u32)> = m
+                    let column: Vec<(f64, u32)> = m
                         .col_specified_in(j, &st.rows)
                         .map(|(i, v)| (v - st.row_sum(i) / st.row_specified(i) as f64, i as u32))
                         .collect();
-                    want.assign_sorted(&mut column, mean);
+                    want = line_of(&column, mean);
                 }
                 let got = &ci.lines[j];
                 assert_eq!(bits(&got.vals), bits(&want.vals), "col {j} ({mean:?})");

@@ -34,6 +34,11 @@ pub struct Scratch {
     /// Per-member base shifts of the incremental engine's streamed
     /// answers, dense-indexed like the axis they shift.
     shift: Vec<f64>,
+    /// Where the incremental engine's closed-form search last landed on
+    /// each (cluster, line), so the next search on that line starts
+    /// there. Per caller, never shared: concurrent queries of one engine
+    /// each keep their own.
+    hints: Vec<u32>,
 }
 
 impl Scratch {
@@ -50,6 +55,16 @@ impl Scratch {
             self.shift.resize(len, 0.0);
         }
         &mut self.shift[..len]
+    }
+
+    /// Cluster `cluster`'s search hints, one per line of its `lines`.
+    /// Entries hold whatever the last search left there, 0 at first.
+    pub(crate) fn hints(&mut self, cluster: usize, lines: usize) -> &mut [u32] {
+        let end = (cluster + 1) * lines;
+        if self.hints.len() < end {
+            self.hints.resize(end, 0);
+        }
+        &mut self.hints[cluster * lines..end]
     }
 }
 
