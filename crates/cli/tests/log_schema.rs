@@ -156,10 +156,14 @@ fn mine_log_json_emits_schema_valid_lines() {
     assert_eq!(lane_events.len() as u64, lanes * iterations as u64);
     for event in &lane_events {
         let obj = event.as_object().unwrap();
+        assert!(
+            field(obj, "clusters").is_none(),
+            "floc.lane has no clusters"
+        );
         for key in [
             "iteration",
             "lane",
-            "clusters",
+            "lines",
             "eval_nanos",
             "rebuild_nanos",
             "apply_nanos",

@@ -11,9 +11,10 @@
 //!    escape local optima — recording the average residue after every
 //!    action. Actions that have become illegal mid-sequence (constraints are
 //!    rechecked against the evolving clustering) are skipped. With refreshed
-//!    gains on the incremental engine the loop runs on one cluster lane per
-//!    thread: each lane owns some clusters, scores every action against
-//!    them, and the lanes agree on each winner (see `lanes.rs`).
+//!    gains on the incremental engine the loop runs on one lane per
+//!    thread: each lane holds a share of every cluster's index lines,
+//!    posts those lines' share of every score, and every lane replays the
+//!    scores in the serial order (see `lanes.rs`).
 //! 4. If the best prefix of the action sequence beats the incumbent best
 //!    clustering, replay that prefix onto the iteration's starting state and
 //!    continue; otherwise terminate and return the incumbent.
@@ -97,11 +98,6 @@ impl From<ResumeError> for FlocError {
 /// *increase* the number of occupancy violations (seeds may start
 /// non-compliant — the non-worsening rule lets FLOC repair them while never
 /// regressing a compliant cluster); (3) the user's §4.3 constraints.
-///
-/// Only constraints for which `Constraint::reads_other_clusters` holds
-/// read any state but `states[action.cluster]`, so without them `states`
-/// may be any slice that holds the acted-on cluster at that index, such as
-/// a lane's own clusters.
 pub(crate) fn blocked(
     matrix: &DataMatrix,
     states: &[ClusterState],
@@ -451,7 +447,7 @@ fn publish_checkpoint(obs: &Obs, snap: &FlocCheckpoint) {
 /// the loop itself continues from. Residues and the incumbent average are
 /// recomputed from the canonical states for the same reason.
 ///
-/// The perform loop runs on [`lanes::lane_count`] cluster lanes, at most
+/// The perform loop runs on [`lanes::lane_count`] line lanes, at most
 /// `cores` of them.
 #[allow(clippy::too_many_arguments)]
 fn run_loop(
@@ -546,7 +542,7 @@ fn run_loop(
             skipped,
             best_prefix_avg,
             best_prefix_len,
-            engine,
+            counters: (iter_rebuilds, iter_repairs),
             lanes: lane_stats,
         } = match lanes::perform(
             matrix,
@@ -581,7 +577,6 @@ fn run_loop(
             actions_performed: performed.len(),
             improved,
         });
-        let (iter_rebuilds, iter_repairs) = engine.as_ref().map_or((0, 0), |e| e.counters());
         total_stale_rebuilds += iter_rebuilds;
         total_repairs += iter_repairs;
 
@@ -594,7 +589,6 @@ fn run_loop(
         //    state from canonical descriptors, so it counts as rebuild.
         let incumbent_avg = best_avg;
         let t = timing.then(Instant::now);
-        drop(engine);
         if improved {
             if best_prefix_len == performed.len() {
                 best = states; // the full sequence was the best prefix
@@ -665,7 +659,7 @@ fn run_loop(
                     &[
                         Field::new("iteration", iterations),
                         Field::new("lane", lane),
-                        Field::new("clusters", st.clusters),
+                        Field::new("lines", st.lines),
                         Field::new("eval_nanos", st.eval_nanos),
                         Field::new("rebuild_nanos", st.rebuild_nanos),
                         Field::new("apply_nanos", st.apply_nanos),
@@ -1153,7 +1147,7 @@ mod tests {
         assert!(err.to_string().contains("seed"));
     }
 
-    /// Runs FLOC on `lanes` cluster lanes (`threads = lanes`), lifting the
+    /// Runs FLOC on `lanes` line lanes (`threads = lanes`), lifting the
     /// core clamp so the lanes share cores when the machine has fewer.
     fn floc_lanes(m: &DataMatrix, config: &FlocConfig, lanes: usize, obs: &Obs) -> FlocResult {
         let mut cfg = config.clone();
@@ -1195,7 +1189,7 @@ mod tests {
                             // Only refreshed incremental gains run on lanes.
                             let on_lanes = engine == GainEngineKind::Incremental && refresh;
                             for e in sink.named("floc.iteration") {
-                                let expect = if on_lanes { lanes.min(k) } else { 1 } as u64;
+                                let expect = if on_lanes { lanes } else { 1 } as u64;
                                 assert_eq!(e.u64_field("lanes"), Some(expect), "{what}");
                             }
                         }
@@ -1205,8 +1199,10 @@ mod tests {
         }
     }
 
+    /// Every lane holds every cluster's state, so the constraints that read
+    /// other clusters run on lanes too, bit for bit as on one.
     #[test]
-    fn lanes_fall_back_to_one_under_a_cross_cluster_constraint() {
+    fn lanes_run_under_cross_cluster_constraints() {
         let m = planted(40, 20, 12, 8, 9);
         for constraint in [
             Constraint::MaxOverlap { fraction: 0.5 },
@@ -1219,15 +1215,18 @@ mod tests {
                 .constraint(constraint.clone())
                 .build();
             let serial = floc_lanes(&m, &config, 1, &Obs::null());
-            let sink = dc_obs::MemorySink::new();
-            let r = floc_lanes(&m, &config, 4, &Obs::new(sink.clone()));
-            assert_bit_identical(&r, &serial, &format!("{constraint:?}"));
-            let iterations = sink.named("floc.iteration");
-            assert!(!iterations.is_empty());
-            for e in &iterations {
-                assert_eq!(e.u64_field("lanes"), Some(1), "{constraint:?}");
+            for lanes in [2, 3, 4] {
+                let what = format!("{constraint:?} x{lanes}");
+                let sink = dc_obs::MemorySink::new();
+                let r = floc_lanes(&m, &config, lanes, &Obs::new(sink.clone()));
+                assert_bit_identical(&r, &serial, &what);
+                let iterations = sink.named("floc.iteration");
+                assert!(!iterations.is_empty());
+                for e in &iterations {
+                    assert_eq!(e.u64_field("lanes"), Some(lanes as u64), "{what}");
+                }
+                assert_eq!(sink.named("floc.lane").len(), lanes * iterations.len());
             }
-            assert_eq!(sink.named("floc.lane").len(), iterations.len());
         }
     }
 
@@ -1259,6 +1258,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Each lane reports its share of every iteration: the lanes' held
+    /// lines and line repairs add up to one lane's, the iteration's engine
+    /// counters are one lane's, and lane 0's phases tile the iteration's.
     #[test]
     fn lanes_report_their_share_of_every_iteration() {
         let m = planted(60, 24, 15, 8, 7);
@@ -1266,13 +1268,17 @@ mod tests {
             .seed(3)
             .gain_engine(crate::gain_engine::GainEngineKind::Incremental)
             .build();
+        let one = dc_obs::MemorySink::new();
+        floc_lanes(&m, &config, 1, &Obs::new(one.clone()));
         let sink = dc_obs::MemorySink::new();
         let r = floc_lanes(&m, &config, 2, &Obs::new(sink.clone()));
         let iterations = sink.named("floc.iteration");
         let lanes = sink.named("floc.lane");
         assert_eq!(iterations.len(), r.trace.len());
+        assert_eq!(one.named("floc.iteration").len(), iterations.len());
         assert_eq!(lanes.len(), 2 * iterations.len());
-        for it in &iterations {
+        let one_lanes = one.named("floc.lane");
+        for (it, one_it) in iterations.iter().zip(one.named("floc.iteration")) {
             let n = it.u64_field("iteration");
             let mine: Vec<_> = lanes
                 .iter()
@@ -1281,8 +1287,17 @@ mod tests {
             let ids: Vec<_> = mine.iter().map(|e| e.u64_field("lane").unwrap()).collect();
             assert_eq!(ids, vec![0, 1]);
             let field = |key| mine.iter().map(|e| e.u64_field(key).unwrap()).sum::<u64>();
-            assert_eq!(field("clusters"), 5, "clusters 0, 2, 4 and 1, 3");
-            assert_eq!(Some(field("repairs")), it.u64_field("repairs"));
+            let serial = one_lanes
+                .iter()
+                .find(|e| e.u64_field("iteration") == n)
+                .unwrap();
+            for key in ["lines", "repairs"] {
+                assert_eq!(Some(field(key)), serial.u64_field(key), "{key}");
+            }
+            assert!(mine.iter().all(|e| e.u64_field("lines").unwrap() > 0));
+            for key in ["stale_rebuilds", "repairs"] {
+                assert_eq!(it.u64_field(key), one_it.u64_field(key), "{key}");
+            }
             let lane0 = mine[0];
             assert_eq!(it.u64_field("wait_nanos"), lane0.u64_field("wait_nanos"));
             let decide = it.u64_field("decide_nanos").unwrap();

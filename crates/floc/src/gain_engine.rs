@@ -95,11 +95,23 @@
 //! The driver rebuilds the whole engine from the canonical cluster states
 //! at every iteration boundary — the *drift guard* that keeps long runs
 //! (and checkpoint/resume) anchored to the exact statistics.
+//!
+//! ## Shares
+//!
+//! The perform loop's lanes each hold a share of the engine
+//! (`IncrementalEngine::split`): an even part of every large cluster's
+//! member lines, or the whole of a small cluster. A query then splits into
+//! a *prelude* every holder computes alike (`IncrementalEngine::prelude`),
+//! per-line *terms* each holder posts for its own lines
+//! (`IncrementalEngine::post_terms`), and a *replay* that adds the terms
+//! in line order (`IncrementalEngine::replay`) — exactly the additions
+//! [`IncrementalEngine::toggled_residue`], the same prelude and replay over
+//! every line, makes, so every share count answers bit for bit alike.
 
 use crate::action::{Action, Target};
 use crate::residue::ResidueMean;
 use crate::stats::{Axis, ClusterState, Scratch};
-use dc_matrix::{DataMatrix, Line};
+use dc_matrix::{BitSet, DataMatrix, Line, ValuesSlice};
 use serde::{Deserialize, Serialize};
 
 /// Matrices with at least this many cells default to the incremental
@@ -543,61 +555,85 @@ pub(crate) struct Buckets {
     /// Column bases hoisted out of the entry loop, one division per member
     /// column instead of one per entry (row lines).
     base: Vec<f64>,
+    /// The member columns a lane holds of a shared cluster (column lines),
+    /// so the fill pass reads only those.
+    held: Option<BitSet>,
     /// The line sort's scratch (`DimIndex::assign_sorted`).
     sort: LineSort,
 }
 
 impl ClusterIndex {
-    fn new(matrix: &DataMatrix, lines: Lines) -> Self {
-        let n = match lines {
-            Lines::Cols => matrix.cols(),
-            Lines::Rows => matrix.rows(),
-        };
+    fn new(lines: usize) -> Self {
         ClusterIndex {
-            lines: vec![DimIndex::default(); n],
+            lines: vec![DimIndex::default(); lines],
             stale: true,
         }
     }
 
+    /// Rebuilds the `held` lines from `st` and empties the others.
     fn rebuild(
         &mut self,
         matrix: &DataMatrix,
         st: &ClusterState,
         layout: Layout,
+        held: Held,
         buf: &mut Buckets,
     ) {
         for d in &mut self.lines {
             d.clear();
         }
-        match layout.lines {
-            Lines::Cols => self.rebuild_cols(matrix, st, layout.mean, buf),
-            Lines::Rows => self.rebuild_rows(matrix, st, layout.mean, buf),
+        if !held.is_none() {
+            match layout.lines {
+                Lines::Cols => self.rebuild_cols(matrix, st, layout.mean, held, buf),
+                Lines::Rows => self.rebuild_rows(matrix, st, layout.mean, held, buf),
+            }
+        }
+        // A line left empty gives its memory back: after a rebuild moves a
+        // line to another lane, only the lane that holds it keeps room for
+        // it.
+        for d in &mut self.lines {
+            if d.vals.is_empty() {
+                *d = DimIndex::default();
+            }
         }
         self.stale = false;
     }
 
-    /// Rebuilds column lines in one row-major pass: every entry of the
-    /// cluster goes to its column's bucket (a counting sort on the known
-    /// column counts), then each bucket is sorted by `(value, id)`. Ids
-    /// are unique within a bucket, so the order the pass fills it in never
-    /// shows.
+    /// Rebuilds the `held` column lines in one row-major pass: every entry
+    /// of the cluster in such a column goes to its column's bucket (a counting
+    /// sort on the known column counts), then each bucket is sorted by
+    /// `(value, id)`. Ids are unique within a bucket, so the order the
+    /// pass fills it in never shows.
     fn rebuild_cols(
         &mut self,
         matrix: &DataMatrix,
         st: &ClusterState,
         mean: ResidueMean,
+        held: Held,
         buf: &mut Buckets,
     ) {
         let Buckets {
             entries,
             next,
+            held: cols,
             sort,
             ..
         } = buf;
+        let cols = if held.is_all() {
+            &st.cols
+        } else {
+            // An engine's buffer serves one matrix, so one size fits.
+            let cols = cols.get_or_insert_with(|| BitSet::new(matrix.cols()));
+            cols.clear();
+            for j in held.of(&st.cols) {
+                cols.insert(j);
+            }
+            &*cols
+        };
         next.clear();
         next.resize(matrix.cols(), 0);
         let mut end = 0;
-        for j in st.cols.iter() {
+        for j in cols.iter() {
             next[j] = end;
             end += st.col_specified(j) as usize;
         }
@@ -608,25 +644,26 @@ impl ClusterIndex {
                 continue; // no entries in J, and no base
             }
             let rb = st.row_sum(i) / st.row_specified(i) as f64;
-            for (j, v) in matrix.row_specified_in(i, &st.cols) {
+            for (j, v) in matrix.row_specified_in(i, cols) {
                 entries[next[j]] = (v - rb, i as u32);
                 next[j] += 1;
             }
         }
         let mut start = 0;
-        for j in st.cols.iter() {
+        for j in cols.iter() {
             // Each cursor has advanced to its bucket's end.
             self.lines[j].assign_sorted(&mut entries[start..next[j]], sort, mean);
             start = next[j];
         }
     }
 
-    /// Rebuilds row lines one row at a time.
+    /// Rebuilds the `held` row lines one row at a time.
     fn rebuild_rows(
         &mut self,
         matrix: &DataMatrix,
         st: &ClusterState,
         mean: ResidueMean,
+        held: Held,
         buf: &mut Buckets,
     ) {
         let Buckets {
@@ -642,13 +679,82 @@ impl ClusterIndex {
                 base[j] = st.col_sum(j) / st.col_specified(j) as f64;
             }
         }
-        for i in st.rows.iter() {
+        for i in held.of(&st.rows) {
             entries.clear();
             for (j, v) in matrix.row_specified_in(i, &st.cols) {
                 entries.push((v - base[j], j as u32));
             }
             self.lines[i].assign_sorted(entries, sort, mean);
         }
+    }
+}
+
+/// A cluster with at least this many member lines is shared: each lane
+/// holds a share of its member lines, [`line_owner`]. A smaller one is held
+/// whole by one lane, [`cluster_owner`]: its lines are too few to pay for
+/// every lane computing the cluster's prelude (the cost that sets a
+/// 2-column cluster's score), so sharing them would only add work.
+const SHARED_MIN_LINES: usize = 8;
+
+/// The lane among `lanes` that holds a shared cluster's member line of
+/// rank `rank` (its position among the cluster's member lines, in line
+/// order), so each lane holds every `lanes`-th line and the split is even
+/// whichever lines the cluster has. Only an along toggle changes the
+/// member lines, and it leaves the cluster stale, so ranks hold from one
+/// rebuild to the next.
+pub(crate) fn line_owner(rank: usize, lanes: usize) -> usize {
+    rank % lanes
+}
+
+/// The lane that holds every line of cluster `cluster` among `lanes` when
+/// the cluster is not shared.
+pub(crate) fn cluster_owner(cluster: usize, lanes: usize) -> usize {
+    cluster % lanes
+}
+
+/// The member lines of one cluster an engine holds: every `step`-th, from
+/// the one of rank `first`.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    first: usize,
+    step: usize,
+}
+
+impl Held {
+    /// Every line: the whole engine, or the lane that holds the cluster
+    /// whole.
+    const ALL: Held = Held { first: 0, step: 1 };
+    /// None: another lane holds the cluster whole.
+    const NONE: Held = Held {
+        first: usize::MAX,
+        step: 1,
+    };
+
+    fn is_all(self) -> bool {
+        self.first == 0 && self.step == 1
+    }
+
+    fn is_none(self) -> bool {
+        self.first == usize::MAX
+    }
+
+    /// The held lines among `members`, in line order.
+    fn of(self, members: &BitSet) -> impl Iterator<Item = usize> + '_ {
+        members.iter().skip(self.first).step_by(self.step)
+    }
+}
+
+/// Which member lines of `cluster` (whose state is `st`) an engine holds,
+/// lane `lane` of `lanes` when it is a lane's share.
+fn held(share: Option<(usize, usize)>, layout: Layout, cluster: usize, st: &ClusterState) -> Held {
+    match share {
+        None => Held::ALL,
+        Some((lane, lanes)) if layout.shared(st) => Held {
+            first: lane,
+            step: lanes,
+        },
+        Some((lane, lanes)) if cluster_owner(cluster, lanes) == lane => Held::ALL,
+        Some(_) => Held::NONE,
     }
 }
 
@@ -660,6 +766,148 @@ pub(crate) struct Layout {
     lines: Lines,
 }
 
+impl Layout {
+    /// Whether lanes share `st`'s cluster line by line
+    /// ([`SHARED_MIN_LINES`]). Only an along toggle changes a cluster's
+    /// member lines, and it leaves the cluster stale, so the answer holds
+    /// from one rebuild to the next.
+    fn shared(self, st: &ClusterState) -> bool {
+        self.lines.axes(st).0.members.len() >= SHARED_MIN_LINES
+    }
+}
+
+/// What every holder of a cluster's lines computes alike for one
+/// toggled-residue query, from the cluster's sums and the target's line
+/// alone: the toggled cluster's volume and bases, and the sum the lines'
+/// terms are added to. Only the lines' terms read the index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Prelude {
+    target: Target,
+    /// The target toggles across the lines (closed form), not along them
+    /// (stream).
+    across: bool,
+    adding: bool,
+    /// The cluster base after the toggle.
+    base: f64,
+    /// The target's own base before the toggle (across the lines, where
+    /// removing cancels its stored entries) and after it.
+    old_tb: f64,
+    new_tb: f64,
+    /// The sum before the first line's term: 0 across the lines, the
+    /// entering cells' terms along them.
+    start: f64,
+    /// The cluster's volume after the toggle, at least 1.
+    new_volume: usize,
+}
+
+impl Prelude {
+    /// Whether line `j`, a member of the line axis `lines`, adds a term:
+    /// every line across the lines; along them, every line but the
+    /// target's own and those that hold no entries.
+    #[inline]
+    fn has_term(&self, lines: Axis, j: usize) -> bool {
+        self.across || (j != self.target.index() && lines.cnt[j] != 0)
+    }
+}
+
+/// One line's share of a toggled residue, added in this order: the index's
+/// answer for the line, then its cell term. Across the lines, where the
+/// target's line holds the line's cell, that is the cell's own term (the
+/// entering cell's, or the negated term of the stored entry it cancels).
+/// Elsewhere it is −0.0, the identity of IEEE addition (`x + −0.0` is `x`
+/// for every `x`, signed zeros included), so adding it changes no bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Term {
+    line: f64,
+    cell: f64,
+}
+
+/// The cell term of a line without one.
+const NO_CELL: f64 = -0.0;
+
+impl Prelude {
+    /// The values [`Term::post`] writes per line for this query: the line
+    /// and cell terms across the lines, the line term alone along them.
+    pub(crate) fn stride(&self) -> usize {
+        1 + usize::from(self.across)
+    }
+}
+
+impl Term {
+    /// Appends the term to a lane's post, [`Prelude::stride`] values.
+    #[inline]
+    fn post(self, p: &Prelude, out: &mut Vec<f64>) {
+        out.push(self.line);
+        if p.across {
+            out.push(self.cell);
+        }
+    }
+
+    /// Reads back a term [`Term::post`] wrote for query `p` at the start
+    /// of `post`.
+    #[inline]
+    pub(crate) fn read(p: &Prelude, post: &[f64]) -> Term {
+        Term {
+            line: post[0],
+            cell: if p.across { post[1] } else { NO_CELL },
+        }
+    }
+}
+
+/// What a line's term reads for one query: the cluster's lines and sums,
+/// the prelude and the target's line.
+struct Query<'a> {
+    ci: &'a ClusterIndex,
+    p: &'a Prelude,
+    lines: Axis<'a>,
+    line: &'a Line<'a>,
+    values: ValuesSlice<'a>,
+    mean: ResidueMean,
+}
+
+impl Query<'_> {
+    /// Line `j`'s term across the lines: the line's closed form at its
+    /// shift `t`, plus the target's cell on the line. `hints` holds the
+    /// cluster's search starts, one per line (`DimIndex::query`).
+    #[inline]
+    fn across(&self, j: usize, hints: &mut [u32]) -> Term {
+        let p = self.p;
+        let spec = self.line.is_specified(j);
+        let (mut ls, mut ln) = (self.lines.sum[j], self.lines.cnt[j] as i64);
+        let v = self.values.get(j);
+        if spec {
+            let sign = if p.adding { 1.0 } else { -1.0 };
+            ls += sign * v;
+            ln += sign as i64;
+        }
+        let line_base = if ln <= 0 { p.base } else { ls / ln as f64 };
+        let t = line_base - p.base;
+        let cell = if !spec {
+            NO_CELL
+        } else if p.adding {
+            entering_term(self.mean, p.target, v, p.new_tb, line_base, p.base)
+        } else {
+            // The index still holds the target's entry; cancel it.
+            -self.mean.entry_term((v - p.old_tb) - t)
+        };
+        Term {
+            line: self.ci.lines[j].query(t, self.mean, &mut hints[j]),
+            cell,
+        }
+    }
+
+    /// Line `j`'s term along the lines: its entries streamed at their
+    /// shifts (`shift`, filled by the prelude) and the line's own.
+    #[inline]
+    fn along(&self, j: usize, shift: &[f64]) -> Term {
+        let t = self.lines.sum[j] / self.lines.cnt[j] as f64 - self.p.base;
+        Term {
+            line: self.ci.lines[j].stream(shift, t, self.mean),
+            cell: NO_CELL,
+        }
+    }
+}
+
 /// Incremental gain engine: per-cluster sorted-residue indexes answering
 /// virtual-toggle residues without rescanning the cluster submatrix.
 ///
@@ -669,10 +917,17 @@ pub(crate) struct Layout {
 /// the matching [`ClusterState`] toggle) to keep the indexes in step.
 /// Queries take `&self`, so evaluation parallelizes exactly like the exact
 /// scanner.
+///
+/// The perform loop's lanes each hold a share of it: every lane an even
+/// part of each large cluster's lines, one lane the whole of each small
+/// cluster.
 #[derive(Debug)]
 pub struct IncrementalEngine {
     clusters: Vec<ClusterIndex>,
     layout: Layout,
+    /// `(lane, lanes)` when the engine is a lane's share, which holds only
+    /// that lane's lines ([`Self::split`]); `None` when it holds them all.
+    share: Option<(usize, usize)>,
     /// Rebuilds of sides an along apply invalidated, performed by
     /// [`Self::prepare`].
     stale_rebuilds: u64,
@@ -703,12 +958,14 @@ impl IncrementalEngine {
             mean,
             lines: Lines::for_shape(matrix.rows(), matrix.cols()),
         };
+        let lines = match layout.lines {
+            Lines::Cols => matrix.cols(),
+            Lines::Rows => matrix.rows(),
+        };
         let mut engine = IncrementalEngine {
-            clusters: states
-                .iter()
-                .map(|_| ClusterIndex::new(matrix, layout.lines))
-                .collect(),
+            clusters: states.iter().map(|_| ClusterIndex::new(lines)).collect(),
             layout,
+            share: None,
             stale_rebuilds: 0,
             repairs: 0,
             buf: Buckets::default(),
@@ -716,7 +973,7 @@ impl IncrementalEngine {
         let threads = threads.max(1).min(states.len().max(1));
         if threads <= 1 || states.len() < 2 {
             for (ci, st) in engine.clusters.iter_mut().zip(states) {
-                ci.rebuild(matrix, st, layout, &mut engine.buf);
+                ci.rebuild(matrix, st, layout, Held::ALL, &mut engine.buf);
             }
             return engine;
         }
@@ -730,7 +987,7 @@ impl IncrementalEngine {
                 scope.spawn(move || {
                     let mut buf = Buckets::default();
                     for (ci, st) in ci_chunk.iter_mut().zip(st_chunk) {
-                        ci.rebuild(matrix, st, layout, &mut buf);
+                        ci.rebuild(matrix, st, layout, Held::ALL, &mut buf);
                     }
                 });
             }
@@ -738,38 +995,88 @@ impl IncrementalEngine {
         engine
     }
 
-    /// Takes the engine apart into its per-cluster indexes, in cluster
-    /// order, its layout and its [`Self::counters`], so the perform loop
-    /// can hand each lane its own clusters' indexes.
-    pub(crate) fn into_parts(self) -> (Vec<ClusterIndex>, Layout, (u64, u64)) {
-        let counters = self.counters();
-        (self.clusters, self.layout, counters)
-    }
-
-    /// An engine over `clusters` (given their states in the same order)
-    /// that answers, prepares and applies for them exactly as the engine
-    /// they came from did.
-    pub(crate) fn from_parts(
-        clusters: Vec<ClusterIndex>,
-        layout: Layout,
-        (stale_rebuilds, repairs): (u64, u64),
-    ) -> Self {
-        IncrementalEngine {
-            clusters,
-            layout,
-            stale_rebuilds,
-            repairs,
-            buf: Buckets::default(),
+    /// Splits the engine over `states` (the states it was built against)
+    /// into `lanes` shares. A shared cluster's member line of rank `r`
+    /// moves to share [`line_owner`]`(r, lanes)`; every line of any other
+    /// cluster moves to share [`cluster_owner`]. Each share keeps the stale marks and the
+    /// counters, and from then on prepares, answers and applies for its
+    /// own lines only; every share counts every cluster's rebuilds and
+    /// repairs, so each share's counters are the whole engine's.
+    pub(crate) fn split(self, states: &[ClusterState], lanes: usize) -> Vec<IncrementalEngine> {
+        if lanes <= 1 {
+            return vec![self];
         }
+        let n = self.line_count();
+        let mut shares: Vec<IncrementalEngine> = (0..lanes)
+            .map(|lane| IncrementalEngine {
+                clusters: Vec::with_capacity(self.clusters.len()),
+                layout: self.layout,
+                share: Some((lane, lanes)),
+                stale_rebuilds: self.stale_rebuilds,
+                repairs: self.repairs,
+                buf: Buckets::default(),
+            })
+            .collect();
+        for (c, (mut ci, st)) in self.clusters.into_iter().zip(states).enumerate() {
+            let shared = self.layout.shared(st);
+            let mut parts: Vec<ClusterIndex> = (0..lanes)
+                .map(|_| ClusterIndex {
+                    lines: vec![DimIndex::default(); n],
+                    stale: ci.stale,
+                })
+                .collect();
+            // Only member lines hold entries.
+            let (members, _) = self.layout.lines.axes(st);
+            for (r, j) in members.members.iter().enumerate() {
+                let owner = if shared {
+                    line_owner(r, lanes)
+                } else {
+                    cluster_owner(c, lanes)
+                };
+                parts[owner].lines[j] = std::mem::take(&mut ci.lines[j]);
+            }
+            for (share, part) in shares.iter_mut().zip(parts) {
+                share.clusters.push(part);
+            }
+        }
+        shares
     }
 
-    /// Rebuilds every stale index side, so each query that follows
-    /// answers from a side in step with its cluster; fresh sides are
-    /// untouched. The only place a side is rebuilt after [`Self::build`].
+    /// Whether the lanes share `st`'s cluster line by line (else one lane
+    /// holds it whole).
+    pub(crate) fn shared(&self, st: &ClusterState) -> bool {
+        self.layout.shared(st)
+    }
+
+    /// The lines of `cluster` (whose state is `st`) this engine holds.
+    fn held(&self, cluster: usize, st: &ClusterState) -> Held {
+        held(self.share, self.layout, cluster, st)
+    }
+
+    /// The lines of each cluster's index, members or not.
+    pub(crate) fn line_count(&self) -> usize {
+        self.clusters.first().map_or(0, |ci| ci.lines.len())
+    }
+
+    /// The member lines of `states`' clusters this engine holds.
+    pub(crate) fn held_lines(&self, states: &[ClusterState]) -> usize {
+        (states.iter().enumerate())
+            .map(|(c, st)| {
+                let (lines, _) = self.layout.lines.axes(st);
+                self.held(c, st).of(lines.members).count()
+            })
+            .sum()
+    }
+
+    /// Rebuilds the held lines of every stale index side, so each query
+    /// that follows answers from a side in step with its cluster; fresh
+    /// sides are untouched. The only place a side is rebuilt after
+    /// [`Self::build`].
     pub fn prepare(&mut self, matrix: &DataMatrix, states: &[ClusterState]) {
-        for (ci, st) in self.clusters.iter_mut().zip(states) {
-            if ci.stale {
-                ci.rebuild(matrix, st, self.layout, &mut self.buf);
+        for (c, st) in states.iter().enumerate() {
+            if self.clusters[c].stale {
+                let held = held(self.share, self.layout, c, st);
+                self.clusters[c].rebuild(matrix, st, self.layout, held, &mut self.buf);
                 self.stale_rebuilds += 1;
             }
         }
@@ -792,6 +1099,9 @@ impl IncrementalEngine {
     /// A toggle across the lines answers in closed form, one along them by
     /// streaming the side's entries (`scratch` holds the shifts).
     ///
+    /// It is the lanes' prelude and replay with one lane holding every
+    /// line: a lane's share answers it only for a cluster it holds whole.
+    ///
     /// # Panics
     /// Panics if the cluster's side is stale: call [`Self::prepare`] after
     /// the applies and before the queries.
@@ -803,113 +1113,65 @@ impl IncrementalEngine {
         st: &ClusterState,
         scratch: &mut Scratch,
     ) -> f64 {
-        let ci = &self.clusters[cluster];
         assert!(
-            !ci.stale,
-            "cluster {cluster}'s index side is stale: prepare before querying"
+            self.held(cluster, st).is_all(),
+            "cluster {cluster} is not held whole here"
         );
-        if self.layout.lines.across(target) {
-            let hints = scratch.hints(cluster, ci.lines.len());
-            self.residue_across(ci, target, line, st, hints)
-        } else {
-            self.residue_along(ci, target, line, st, scratch)
-        }
-    }
-
-    /// The closed form for `target`, a member of the entry axis toggled
-    /// across the lines: each line's stored values shift by one constant.
-    /// `hints` holds one search start per line (`DimIndex::query`).
-    fn residue_across(
-        &self,
-        ci: &ClusterIndex,
-        target: Target,
-        line: &Line,
-        st: &ClusterState,
-        hints: &mut [u32],
-    ) -> f64 {
-        let mean = self.layout.mean;
-        let (lines, entries) = self.layout.lines.axes(st);
-        let x = target.index();
-        let adding = !entries.members.contains(x);
-        let sign = if adding { 1.0 } else { -1.0 };
-
-        // Word-block kernel; bit-identical to folding the line's entries.
-        let (t_sum, t_cnt) = if adding {
-            line.stats_in(lines.members)
-        } else {
-            (entries.sum[x], entries.cnt[x])
-        };
-
-        let new_volume = (st.volume() as i64 + sign as i64 * t_cnt as i64) as usize;
-        if new_volume == 0 {
+        let Some(p) = self.prelude(cluster, target, line, st, scratch) else {
             return 0.0;
-        }
-        let new_total = st.total() + sign * t_sum;
-        let base = new_total / new_volume as f64;
-
-        // The target's base before (for cancelling stored entries) and after.
-        let old_tb = if entries.cnt[x] > 0 {
-            entries.sum[x] / entries.cnt[x] as f64
-        } else {
-            0.0 // unused: x then has no stored entries
         };
-        let new_tb = if t_cnt == 0 {
-            base
+        let q = self.query(cluster, &p, line, st);
+        if p.across {
+            let hints = scratch.hints(cluster, q.ci.lines.len());
+            self.replay(&p, st, |_, j| q.across(j, hints))
         } else {
-            t_sum / t_cnt as f64
-        };
-
-        let xvals = line.values();
-        let mut sum = 0.0;
-        for j in lines.members.iter() {
-            let spec = line.is_specified(j);
-            let (mut ls, mut ln) = (lines.sum[j], lines.cnt[j] as i64);
-            let v = xvals.get(j);
-            if spec {
-                ls += sign * v;
-                ln += sign as i64;
-            }
-            let line_base = if ln <= 0 { base } else { ls / ln as f64 };
-            let t = line_base - base;
-            sum += ci.lines[j].query(t, mean, &mut hints[j]);
-            if spec {
-                if adding {
-                    sum += entering_term(mean, target, v, new_tb, line_base, base);
-                } else {
-                    // The index still contains x's entry; cancel it.
-                    sum -= mean.entry_term((v - old_tb) - t);
-                }
-            }
+            let shift = self.shift(st, scratch);
+            self.replay(&p, st, |_, j| q.along(j, shift))
         }
-        sum / new_volume as f64
     }
 
-    /// The stream for `target`, a whole line toggled along the lines: one
-    /// pass over every other line's entries, each shifted by its entry's
-    /// base change.
-    fn residue_along(
+    /// The prelude of `cluster`'s toggled residue with `target`, whose line
+    /// is `line`; along the lines it also leaves each entry-axis member's
+    /// base shift in `scratch`. `None` when the toggle empties the cluster,
+    /// whose residue is then 0.
+    ///
+    /// # Panics
+    /// Panics if the cluster's side is stale.
+    pub(crate) fn prelude(
         &self,
-        ci: &ClusterIndex,
+        cluster: usize,
         target: Target,
         line: &Line,
         st: &ClusterState,
         scratch: &mut Scratch,
-    ) -> f64 {
+    ) -> Option<Prelude> {
+        assert!(
+            !self.clusters[cluster].stale,
+            "cluster {cluster}'s index side is stale: prepare before querying"
+        );
         let mean = self.layout.mean;
         let (lines, entries) = self.layout.lines.axes(st);
-        let y = target.index();
-        let adding = !lines.members.contains(y);
+        let across = self.layout.lines.across(target);
+        // The target's own axis, and the axis its line's cells run along.
+        let (own, other) = if across {
+            (entries, lines)
+        } else {
+            (lines, entries)
+        };
+        let x = target.index();
+        let adding = !own.members.contains(x);
         let sign = if adding { 1.0 } else { -1.0 };
 
+        // Word-block kernel; bit-identical to folding the line's entries.
         let (t_sum, t_cnt) = if adding {
-            line.stats_in(entries.members)
+            line.stats_in(other.members)
         } else {
-            (lines.sum[y], lines.cnt[y])
+            (own.sum[x], own.cnt[x])
         };
 
         let new_volume = (st.volume() as i64 + sign as i64 * t_cnt as i64) as usize;
         if new_volume == 0 {
-            return 0.0;
+            return None;
         }
         let new_total = st.total() + sign * t_sum;
         let base = new_total / new_volume as f64;
@@ -918,12 +1180,27 @@ impl IncrementalEngine {
         } else {
             t_sum / t_cnt as f64
         };
+        let mut p = Prelude {
+            target,
+            across,
+            adding,
+            base,
+            old_tb: 0.0,
+            new_tb,
+            start: 0.0,
+            new_volume,
+        };
+        if across {
+            if own.cnt[x] > 0 {
+                p.old_tb = own.sum[x] / own.cnt[x] as f64;
+            } // else unused: x then has no stored entries
+            return Some(p);
+        }
 
         // Each entry-axis member's base moves only if the target's line
         // holds its cell; the cell itself enters here when adding.
         let yvals = line.values();
         let shift = scratch.shift(entries.sum.len());
-        let mut sum = 0.0;
         for i in entries.members.iter() {
             shift[i] = 0.0;
             if !line.is_specified(i) {
@@ -937,55 +1214,139 @@ impl IncrementalEngine {
                 shift[i] = es / en as f64 - new_eb;
             }
             if adding {
-                sum += entering_term(mean, target, v, new_tb, new_eb, base);
+                p.start += entering_term(mean, target, v, new_tb, new_eb, base);
             }
         }
-        for j in lines.members.iter() {
-            if j == y || lines.cnt[j] == 0 {
-                continue; // leaving, or holds no entries
+        Some(p)
+    }
+
+    /// Appends the terms of `cluster`'s lines that this engine holds, in
+    /// ascending line order, for query `p` (left by [`Self::prelude`] in
+    /// `scratch` too).
+    pub(crate) fn post_terms(
+        &self,
+        cluster: usize,
+        p: &Prelude,
+        line: &Line,
+        st: &ClusterState,
+        scratch: &mut Scratch,
+        out: &mut Vec<f64>,
+    ) {
+        let q = self.query(cluster, p, line, st);
+        let mine = (self.held(cluster, st).of(q.lines.members)).filter(|&j| p.has_term(q.lines, j));
+        if p.across {
+            let hints = scratch.hints(cluster, q.ci.lines.len());
+            for j in mine {
+                q.across(j, hints).post(p, out);
             }
-            let t = lines.sum[j] / lines.cnt[j] as f64 - base;
-            sum += ci.lines[j].stream(shift, t, mean);
+        } else {
+            let shift = self.shift(st, scratch);
+            for j in mine {
+                q.along(j, shift).post(p, out);
+            }
         }
-        sum / new_volume as f64
+    }
+
+    /// Adds up query `p`'s line terms, `term(r, j)` for each member line
+    /// `j` (of rank `r`) with one, in line order — the serial summation
+    /// order however the lines are held — and divides by the toggled
+    /// volume.
+    pub(crate) fn replay(
+        &self,
+        p: &Prelude,
+        st: &ClusterState,
+        mut term: impl FnMut(usize, usize) -> Term,
+    ) -> f64 {
+        let (lines, _) = self.layout.lines.axes(st);
+        let mut sum = p.start;
+        for (r, j) in lines.members.iter().enumerate() {
+            if !p.has_term(lines, j) {
+                continue;
+            }
+            let t = term(r, j);
+            sum += t.line;
+            sum += t.cell;
+        }
+        sum / p.new_volume as f64
+    }
+
+    fn query<'a>(
+        &'a self,
+        cluster: usize,
+        p: &'a Prelude,
+        line: &'a Line<'a>,
+        st: &'a ClusterState,
+    ) -> Query<'a> {
+        Query {
+            ci: &self.clusters[cluster],
+            p,
+            lines: self.layout.lines.axes(st).0,
+            line,
+            values: line.values(),
+            mean: self.layout.mean,
+        }
+    }
+
+    /// The shifts [`Self::prelude`] left in `scratch`.
+    fn shift<'s>(&self, st: &ClusterState, scratch: &'s mut Scratch) -> &'s [f64] {
+        let (_, entries) = self.layout.lines.axes(st);
+        scratch.shift(entries.sum.len())
+    }
+
+    /// Line `j` of `cluster` as bits: its values, ids and prefix sums.
+    #[cfg(test)]
+    pub(crate) fn line_bits(&self, cluster: usize, j: usize) -> Vec<u64> {
+        let d = &self.clusters[cluster].lines[j];
+        let bits = d.vals.iter().chain(&d.pre).map(|v| v.to_bits());
+        bits.chain(d.ids.iter().map(|&id| id as u64)).collect()
     }
 
     /// Brings the indexes in step with `action`, which the driver is about
     /// to perform; `line` is its target's line ([`Target::line`]). Must be
     /// called with the cluster's state *before* the toggle (the pre-toggle
-    /// sums reproduce the stored values to remove).
+    /// sums reproduce the stored values to remove). Returns the held lines
+    /// it repaired.
     ///
     /// A toggle across the lines repairs the side in place
     /// (`O(line · lines)`); one along them marks it stale.
-    pub fn apply(&mut self, line: &Line, st: &ClusterState, action: Action) {
+    pub fn apply(&mut self, line: &Line, st: &ClusterState, action: Action) -> usize {
         let Layout { mean, lines: kind } = self.layout;
+        let held = held(self.share, self.layout, action.cluster, st);
         let ci = &mut self.clusters[action.cluster];
         if !kind.across(action.target) {
             ci.stale = true; // every entry's base shifts
-            return;
+            return 0;
         }
         if ci.stale {
-            return; // rebuilt whole by the next prepare
+            return 0; // rebuilt whole by the next prepare
         }
         self.repairs += 1;
         let x = action.target.index();
         let (lines, entries) = kind.axes(st);
+        let values = line.values();
+        let mine = (held.of(lines.members))
+            .filter(|&j| line.is_specified(j))
+            .map(|j| (j, values.get(j)));
+        let mut repaired = 0;
         if entries.members.contains(x) {
             if entries.cnt[x] > 0 {
                 let b = entries.sum[x] / entries.cnt[x] as f64;
-                for (j, v) in line.specified_in(lines.members) {
+                for (j, v) in mine {
                     ci.lines[j].remove(v - b, x as u32, mean);
+                    repaired += 1;
                 }
             }
         } else {
             let (t_sum, t_cnt) = line.stats_in(lines.members);
             if t_cnt > 0 {
                 let b = t_sum / t_cnt as f64;
-                for (j, v) in line.specified_in(lines.members) {
+                for (j, v) in mine {
                     ci.lines[j].insert(v - b, x as u32, mean);
+                    repaired += 1;
                 }
             }
         }
+        repaired
     }
 }
 
@@ -1303,6 +1664,119 @@ mod tests {
         engine.toggled_residue(0, q, &q.line(&m), &st, &mut Scratch::default());
     }
 
+    /// The lanes' prelude and replay: `L ∈ {1, 2, 3, 4}` shares of one
+    /// engine each post the terms of their lines of a shared cluster, and
+    /// replaying them in line order gives `toggled_residue` bit for bit,
+    /// for every row and column target (across and along the lines), on a
+    /// tall and a wide matrix (both line orientations), under both means,
+    /// with whole-row, whole-column and checkerboard gaps. Each step then
+    /// applies one toggle to every engine and prepares them, so the shares'
+    /// repairs and rebuilds are checked too.
+    #[test]
+    fn replaying_every_lanes_terms_matches_toggled_residue_bit_for_bit() {
+        for (rows, cols) in [(40, 12), (12, 40)] {
+            for (name, m) in gapped_matrices(rows, cols) {
+                for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+                    // Ten member lines (shared), every other entry.
+                    let cluster = if rows >= cols {
+                        DeltaCluster::from_indices(rows, cols, (0..rows).step_by(2), 0..10)
+                    } else {
+                        DeltaCluster::from_indices(rows, cols, 0..10, (0..cols).step_by(2))
+                    };
+                    let mut states = vec![ClusterState::new(&m, &cluster)];
+                    let mut whole = IncrementalEngine::build(&m, &states, mean);
+                    assert!(whole.shared(&states[0]));
+                    let mut shares: Vec<Vec<IncrementalEngine>> = (1..=4)
+                        .map(|lanes| {
+                            IncrementalEngine::build(&m, &states, mean).split(&states, lanes)
+                        })
+                        .collect();
+                    let mut scratch = Scratch::default();
+                    let mut lane_scratch: Vec<Scratch> =
+                        (0..4).map(|_| Scratch::default()).collect();
+                    let mut rng = StdRng::seed_from_u64(rows as u64 * 7 + cols as u64);
+                    for step in 0..8 {
+                        let every = (0..rows).map(Target::Row).chain((0..cols).map(Target::Col));
+                        for q in every {
+                            let line = q.line(&m);
+                            let st = &states[0];
+                            let want = whole.toggled_residue(0, q, &line, st, &mut scratch);
+                            for share in &shares {
+                                let lanes = share.len();
+                                let what = format!("{name} {mean:?} step {step} {q:?} x{lanes}");
+                                let mut posts = vec![Vec::new(); lanes];
+                                let mut preludes = Vec::new();
+                                for (l, eng) in share.iter().enumerate() {
+                                    let p = eng.prelude(0, q, &line, st, &mut lane_scratch[l]);
+                                    if let Some(p) = &p {
+                                        eng.post_terms(
+                                            0,
+                                            p,
+                                            &line,
+                                            st,
+                                            &mut lane_scratch[l],
+                                            &mut posts[l],
+                                        );
+                                    }
+                                    preludes.push(p);
+                                }
+                                assert!(preludes.iter().all(|p| *p == preludes[0]), "{what}");
+                                let mut at = vec![0; lanes];
+                                let got = preludes[0].map_or(0.0, |p| {
+                                    share[0].replay(&p, st, |rank, _| {
+                                        let l = line_owner(rank, lanes);
+                                        at[l] += p.stride();
+                                        Term::read(&p, &posts[l][at[l] - p.stride()..])
+                                    })
+                                });
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{what}: {got} vs {want}"
+                                );
+                                let lens: Vec<usize> = posts.iter().map(Vec::len).collect();
+                                assert_eq!(at, lens, "{what}: every posted term replayed");
+                            }
+                        }
+
+                        // One toggle, keeping at least 8 member lines.
+                        let target = if rng.gen_bool(0.5) {
+                            Target::Row(rng.gen_range(0..rows))
+                        } else {
+                            Target::Col(rng.gen_range(0..cols))
+                        };
+                        let (lines, entries) = whole.layout.lines.axes(&states[0]);
+                        let (axis, x) = if whole.layout.lines.across(target) {
+                            (entries.members, target.index())
+                        } else {
+                            (lines.members, target.index())
+                        };
+                        let floor = if whole.layout.lines.across(target) {
+                            2
+                        } else {
+                            8
+                        };
+                        if axis.contains(x) && axis.len() <= floor {
+                            continue;
+                        }
+                        let line = target.line(&m);
+                        let act = Action { target, cluster: 0 };
+                        whole.apply(&line, &states[0], act);
+                        for eng in shares.iter_mut().flatten() {
+                            eng.apply(&line, &states[0], act);
+                        }
+                        crate::action::apply(&mut states, act, &line);
+                        whole.prepare(&m, &states);
+                        for eng in shares.iter_mut().flatten() {
+                            eng.prepare(&m, &states);
+                            assert_eq!(eng.counters(), whole.counters());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Lines run along columns unless the matrix is wider than tall; a
     /// square matrix keeps column lines.
     #[test]
@@ -1558,8 +2032,8 @@ mod tests {
                 mean,
                 lines: Lines::Cols,
             };
-            let mut ci = ClusterIndex::new(&m, layout.lines);
-            ci.rebuild(&m, &st, layout, &mut Buckets::default());
+            let mut ci = ClusterIndex::new(9);
+            ci.rebuild(&m, &st, layout, Held::ALL, &mut Buckets::default());
             for j in 0..9 {
                 let mut want = DimIndex::default();
                 if st.cols.contains(j) {

@@ -1,158 +1,98 @@
-//! The phase-2 perform loop (§4.1), split into cluster lanes.
+//! The phase-2 perform loop (§4.1), split into line lanes.
 //!
 //! FLOC performs the `N + M` ordered actions one after another. With
 //! refreshed gains each action first re-decides its target against every
-//! cluster, and the decision is the only step that needs all of them:
-//! scoring a target against a cluster reads that cluster's state and
-//! indexes alone, and performing the winner changes the winner's alone. So
-//! the loop splits by cluster. Lane `l` of `L` owns clusters `l, l + L,
-//! l + 2L, …` for the whole loop ([`owner`]), with their [`ClusterState`]s
-//! and their [`IncrementalEngine`] indexes, and runs on a thread of its
-//! own. For each action every lane
+//! cluster, from the clusters' index lines ([`IncrementalEngine`]), then
+//! performs the winner. So the loop splits by line, not by cluster: every
+//! lane holds a replica of every [`ClusterState`], and of a *shared*
+//! cluster (one with enough member lines) the lane `l` of `L` holds the
+//! member lines whose rank `r` among the members has
+//! [`line_owner`]`(r, L) = l` — column lines on a tall matrix, row lines
+//! on a wide one. One large cluster's queries, repairs and rebuilds then
+//! split evenly over every lane, however the cluster sizes fall. A small
+//! cluster is held whole by lane [`cluster_owner`]. For each action every
+//! lane
 //!
-//! 1. reads the target's line once ([`Target::line`]), prepares its
-//!    clusters' indexes and scores the target against its own clusters,
-//!    keeping the first best in cluster order;
-//! 2. posts that partial `(cluster, gain, toggled residue)` to the
-//!    [`Mailbox`] and reads every other lane's;
-//! 3. merges the partials with [`merge`] (highest gain; equal gains go to
-//!    the lower cluster id), which is exactly the serial scan's first
-//!    maximum, so every lane agrees on the winner;
-//! 4. performs the toggle if it owns the winner, from the same line.
-//!
-//! Each cluster's sorted indexes stay on one core for the whole loop,
-//! which is what makes the split pay: an apply's in-place repairs touch
-//! memory only its owner reads.
+//! 1. reads the target's line once ([`Target::line`]) and rebuilds its
+//!    own lines of the stale clusters;
+//! 2. for each shared cluster computes the prelude
+//!    ([`IncrementalEngine::prelude`]: the target's stats, the new volume
+//!    and the bases, the same on every lane) and posts the terms of its
+//!    own lines, in ascending line order, to the [`Mailbox`]; for each
+//!    cluster it holds whole it posts the toggled residue;
+//! 3. reads every other lane's post and replays each shared cluster's
+//!    terms in line order ([`IncrementalEngine::replay`]), with exactly
+//!    the additions one lane holding every line makes, so every toggled
+//!    residue is bit-identical to the serial one, and keeps the serial
+//!    first maximum, so every lane agrees on the winner;
+//! 4. performs the winner's toggle on its replica, repairing only its own
+//!    lines or marking only its own part stale.
 //!
 //! Lane 0 keeps the books: the performed sequence, the average residue
-//! after each action and the best prefix. The winning partial carries the
-//! winner's new residue, so lane 0 needs nothing more from its owner. Lane
-//! 0 alone polls the interrupt flag and the time budget; its abort mark
-//! stops every lane at the same action.
+//! after each action and the best prefix. Lane 0 alone polls the interrupt
+//! flag and the time budget; its abort mark stops every lane at the same
+//! action.
 //!
-//! One lane is the serial loop: it owns every cluster and reads only its
-//! own posts. It is also the only loop for the exact engine and for
-//! pre-decided actions (`refresh_gains = false`); see [`lane_count`].
-//! Lanes never change the search, only where it runs; the threads ×
-//! engines × resume property suites pin that.
+//! One lane is the serial loop: it holds every line, reads no posts, and
+//! scores with [`IncrementalEngine::toggled_residue`], which is the same
+//! prelude and replay. It is also the only loop for the exact engine, for
+//! pre-decided actions (`refresh_gains = false`) and on a paged matrix;
+//! see [`lane_count`]. Lanes never change the search, only where it runs;
+//! the threads × engines × resume property suites pin that.
 
 use crate::action::{self, Action, EvaluatedAction, Target};
 use crate::algorithm::blocked;
 use crate::config::FlocConfig;
-use crate::constraints::Constraint;
-use crate::gain_engine::IncrementalEngine;
+use crate::gain_engine::{cluster_owner, line_owner, IncrementalEngine, Prelude, Term};
 use crate::history::StopReason;
 use crate::stats::{ClusterState, Scratch};
 use dc_matrix::{BackendKind, DataMatrix, Line};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::RwLock;
 use std::time::Instant;
 
 /// Spins a waiting lane makes before it starts yielding its core.
 const SPINS: u32 = 1 << 12;
 
 /// Lanes the perform loop runs on `matrix`: one per thread of the run's
-/// budget, but no more than there are clusters or `cores` (the cores this
-/// run may keep busy), since a spinning lane without a core of its own
-/// stalls every other lane.
+/// budget, but no more than `cores` (the cores this run may keep busy),
+/// since a spinning lane without a core of its own stalls every other
+/// lane.
 ///
 /// One lane unless the loop re-decides every action on the incremental
-/// engine, the only loop a benchmark workload measures on lanes. One when
-/// a constraint reads clusters besides the one an action toggles, since
-/// only a lane holding every state can check it. One on a paged matrix
-/// too: every read passes through its block cache's one lock, and a miss
-/// loads the block under it, so lanes would only queue there.
+/// engine, the only loop a benchmark workload measures on lanes. One on a
+/// paged matrix too: every read passes through its block cache's one
+/// lock, and a miss loads the block under it, so lanes would only queue
+/// there.
 pub(crate) fn lane_count(matrix: &DataMatrix, config: &FlocConfig, cores: usize) -> usize {
     let refreshed_incremental = config.refresh_gains && config.gain_engine.use_incremental(matrix);
-    let cross_cluster = config
-        .constraints
-        .iter()
-        .any(Constraint::reads_other_clusters);
-    if !refreshed_incremental || cross_cluster || matrix.backend() == BackendKind::Paged {
+    if !refreshed_incremental || matrix.backend() == BackendKind::Paged {
         return 1;
     }
-    config.parallelism.threads.min(config.k).min(cores).max(1)
+    config.parallelism.threads.min(cores).max(1)
 }
 
-/// The lane that owns `cluster` among `lanes`, and the cluster's index in
-/// that lane's own order: lane `l` owns clusters `l, l + lanes, …`.
-fn owner(cluster: usize, lanes: usize) -> (usize, usize) {
-    (cluster % lanes, cluster / lanes)
-}
-
-/// Deals `items`, one per cluster in cluster order, out to `lanes` lanes
-/// by [`owner`].
-fn deal<T>(items: Vec<T>, lanes: usize) -> Vec<Vec<T>> {
-    let mut dealt: Vec<Vec<T>> = (0..lanes).map(|_| Vec::new()).collect();
-    for (c, item) in items.into_iter().enumerate() {
-        dealt[owner(c, lanes).0].push(item);
-    }
-    dealt
-}
-
-/// Puts what [`deal`] dealt back into cluster order.
-fn join<T>(dealt: Vec<Vec<T>>) -> Vec<T> {
-    let lanes = dealt.len();
-    let k = dealt.iter().map(Vec::len).sum();
-    let mut parts: Vec<_> = dealt.into_iter().map(Vec::into_iter).collect();
-    (0..k)
-        .map(|c| parts[owner(c, lanes).0].next().expect("dealt by `deal`"))
-        .collect()
-}
-
-/// One lane's best candidate for the current action.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Partial {
-    /// Cluster id (global, not the lane's local index).
+/// The action a lane's scan picked: the cluster, and its residue after
+/// the toggle when the gain query yields it (the incremental engine; NaN
+/// otherwise).
+#[derive(Debug, Clone, Copy)]
+struct Winner {
     cluster: usize,
-    gain: f64,
-    /// The cluster's residue after the toggle, when the gain query yields
-    /// it (the incremental engine); NaN otherwise, which only happens on
-    /// one lane.
     toggled: f64,
 }
 
-/// Merges the lanes' partials into the serial scan's first maximum: the
-/// highest gain wins and equal gains go to the lower cluster id, whichever
-/// lane scored them. A NaN gain never wins, and neither does `−∞` (the
-/// serial scan starts from it and keeps only strictly greater gains).
-/// `None` when every lane's candidates were blocked.
-fn merge(partials: impl IntoIterator<Item = Option<Partial>>) -> Option<Partial> {
-    let mut best: Option<Partial> = None;
-    for p in partials.into_iter().flatten() {
-        let wins = match best {
-            None => p.gain > f64::NEG_INFINITY,
-            Some(b) => p.gain > b.gain || (p.gain == b.gain && p.cluster < b.cluster),
-        };
-        if wins {
-            best = Some(p);
-        }
-    }
-    best
-}
-
-/// What a lane posts for one round.
-#[derive(Debug, Clone, Copy)]
-struct Post {
-    partial: Option<Partial>,
-    /// Lane 0 stops the loop at this round.
-    abort: bool,
-}
-
-/// `Slot::cluster` for a post without a candidate, and for the abort mark.
-const NO_CLUSTER: u64 = u64::MAX;
-const ABORT: u64 = u64::MAX - 1;
-
-/// One lane's post for one round, on a cache line of its own.
+/// One post of the lanes' exchange, on a cache line of its own.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct Slot {
     /// The round (action index + 1) whose post the other fields hold.
     /// Stored last with `Release`; a reader loads it with `Acquire` before
-    /// reading the other fields, which are `Relaxed`.
+    /// reading the other fields.
     round: AtomicU64,
-    cluster: AtomicU64,
-    gain: AtomicU64,
-    toggled: AtomicU64,
+    /// Lane 0 stops the loop at this round.
+    abort: AtomicBool,
+    /// The poster's line terms ([`Term::post`]), cluster by cluster.
+    terms: RwLock<Vec<f64>>,
 }
 
 /// The lanes' exchange: two slots per lane, alternating by round parity.
@@ -174,23 +114,20 @@ impl Mailbox {
         }
     }
 
-    fn post(&self, lane: usize, round: u64, post: Post) {
+    fn post(&self, lane: usize, round: u64, terms: &[f64], abort: bool) {
         let slot = &self.slots[lane][(round % 2) as usize];
-        let cluster = match post.partial {
-            _ if post.abort => ABORT,
-            Some(p) => p.cluster as u64,
-            None => NO_CLUSTER,
-        };
-        let (gain, toggled) = post.partial.map_or((0.0, 0.0), |p| (p.gain, p.toggled));
-        slot.cluster.store(cluster, Ordering::Relaxed);
-        slot.gain.store(gain.to_bits(), Ordering::Relaxed);
-        slot.toggled.store(toggled.to_bits(), Ordering::Relaxed);
+        let mut posted = slot.terms.write().expect("a lane panicked reading a post");
+        posted.clear();
+        posted.extend_from_slice(terms);
+        drop(posted);
+        slot.abort.store(abort, Ordering::Relaxed);
         slot.round.store(round, Ordering::Release);
     }
 
-    /// Waits for `lane`'s post of `round`: spins first, then yields the
-    /// core, so lanes sharing one still make progress.
-    fn read(&self, lane: usize, round: u64) -> Post {
+    /// Waits for `lane`'s post of `round` and copies its terms into
+    /// `terms`; `false` if it is the abort mark. Spins first, then yields
+    /// the core, so lanes sharing one still make progress.
+    fn read(&self, lane: usize, round: u64, terms: &mut Vec<f64>) -> bool {
         let slot = &self.slots[lane][(round % 2) as usize];
         let mut spins = 0;
         while slot.round.load(Ordering::Acquire) < round {
@@ -205,16 +142,12 @@ impl Mailbox {
                 std::thread::yield_now();
             }
         }
-        let cluster = slot.cluster.load(Ordering::Relaxed);
-        let f = |a: &AtomicU64| f64::from_bits(a.load(Ordering::Relaxed));
-        Post {
-            partial: (cluster < ABORT).then(|| Partial {
-                cluster: cluster as usize,
-                gain: f(&slot.gain),
-                toggled: f(&slot.toggled),
-            }),
-            abort: cluster == ABORT,
+        if slot.abort.load(Ordering::Relaxed) {
+            return false;
         }
+        terms.clear();
+        terms.extend_from_slice(&slot.terms.read().expect("a lane panicked posting"));
+        true
     }
 }
 
@@ -234,19 +167,19 @@ impl Drop for PoisonOnPanic<'_> {
 /// zero unless observed.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaneStats {
-    /// Clusters the lane owns.
-    pub clusters: usize,
-    /// Reading each target's line and scoring it against its clusters
-    /// (and, on lane 0, polling for a stop).
+    /// The index lines of member lines the lane holds at loop start.
+    pub lines: usize,
+    /// Reading each target's line, scoring it (its preludes, its own
+    /// lines' terms and the replay) and, on lane 0, polling for a stop.
     pub eval_nanos: u64,
-    /// Rebuilding the index sides its along applies invalidated
+    /// Rebuilding its lines of the sides along applies invalidated
     /// ([`IncrementalEngine::prepare`]).
     pub rebuild_nanos: u64,
     /// Performing toggles and, on lane 0, keeping the books.
     pub apply_nanos: u64,
-    /// Posting its partial and waiting for the other lanes' posts.
+    /// Posting its terms and waiting for the other lanes' posts.
     pub wait_nanos: u64,
-    /// In-place index repairs its applies made.
+    /// Entries its applies inserted into or removed from its lines.
     pub repairs: u64,
 }
 
@@ -276,12 +209,14 @@ struct Ctx<'a> {
     config: &'a FlocConfig,
     actions: &'a [EvaluatedAction],
     lanes: usize,
+    /// [`line_owner`] of every member-line rank, looked up once per
+    /// replayed term.
+    owners: Vec<u32>,
     timing: bool,
 }
 
 /// Lane 0's books over the whole clustering.
 struct Book {
-    residues: Vec<f64>,
     performed: Vec<Action>,
     skipped: usize,
     best_prefix_avg: f64,
@@ -289,12 +224,11 @@ struct Book {
 }
 
 impl Book {
-    /// Records the new residue of the last performed action's cluster.
-    fn fold(&mut self, cluster: usize, residue: f64) {
-        self.residues[cluster] = residue;
+    /// Records the residues after the last performed action.
+    fn fold(&mut self, residues: &[f64]) {
         // Summing afresh (rather than `+= new − old`) keeps rounding error
         // from accumulating across a long action sequence.
-        let avg = self.residues.iter().sum::<f64>() / self.residues.len() as f64;
+        let avg = residues.iter().sum::<f64>() / residues.len() as f64;
         if avg < self.best_prefix_avg {
             self.best_prefix_avg = avg;
             self.best_prefix_len = self.performed.len();
@@ -302,74 +236,83 @@ impl Book {
     }
 }
 
-/// A lane's clusters, in cluster order, and its share of the engine.
+/// How a lane's scan meets one cluster for the current action.
+#[derive(Debug, Clone, Copy)]
+enum Candidate {
+    /// The action is blocked.
+    Blocked,
+    /// The toggle empties the cluster: residue 0.
+    Empty,
+    /// Its residue is the replay of this prelude's terms.
+    Query(Prelude),
+    /// One lane holds the cluster whole and posts its toggled residue,
+    /// NaN when the action is blocked (a NaN gain never wins, just as a
+    /// blocked action is never taken).
+    Whole,
+}
+
+/// A lane: a replica of every cluster and its share of the engine.
 struct Lane {
     id: usize,
-    /// The global ids of the lane's clusters, in the lane's order.
-    clusters: Vec<usize>,
     states: Vec<ClusterState>,
     residues: Vec<f64>,
     engine: Option<IncrementalEngine>,
     scratch: Scratch,
+    /// Every cluster's candidate for the current action.
+    candidates: Vec<Candidate>,
+    /// Each lane's terms for the current action: this lane's own, and
+    /// copies of the others' posts.
+    posts: Vec<Vec<f64>>,
+    /// Read positions in `posts`, one per lane.
+    cursors: Vec<usize>,
     stats: LaneStats,
 }
 
 impl Lane {
-    /// This lane's index of `cluster`, if it owns it.
-    fn local(&self, ctx: &Ctx, cluster: usize) -> Option<usize> {
-        let (lane, i) = owner(cluster, ctx.lanes);
-        (lane == self.id).then_some(i)
-    }
-
-    /// Rebuilds this lane's stale index sides, so the coming queries all
-    /// answer from sides in step with their clusters.
+    /// Rebuilds this lane's lines of the stale index sides, so the coming
+    /// queries all answer from sides in step with their clusters.
     fn prepare(&mut self, ctx: &Ctx) {
         if let Some(eng) = self.engine.as_mut() {
             eng.prepare(ctx.matrix, &self.states);
         }
     }
 
-    /// Scores `target`, whose line is `line`, against this lane's clusters
-    /// and keeps the first best, as the serial scan over every cluster
-    /// would.
-    fn score(&mut self, ctx: &Ctx, target: Target, line: &Line) -> Option<Partial> {
+    /// Scores `target`, whose line is `line`, against every cluster and
+    /// keeps the first best, as one lane holding every line.
+    fn score(&mut self, ctx: &Ctx, target: Target, line: &Line) -> Option<Winner> {
         let Lane {
-            clusters,
             states,
             residues,
             engine,
             scratch,
             ..
         } = self;
-        let mut best: Option<Partial> = None;
+        let mut best = None;
         let mut best_gain = f64::NEG_INFINITY;
-        for (i, state) in states.iter().enumerate() {
-            // Local indexes are safe here: the lane holds every cluster a
-            // constraint may read (see `lane_count`).
+        for (c, state) in states.iter().enumerate() {
             if blocked(
                 ctx.matrix,
                 states,
-                Action { target, cluster: i },
+                Action { target, cluster: c },
                 ctx.config,
             ) {
                 continue;
             }
             let (gain, toggled) = match engine.as_ref() {
                 Some(eng) => {
-                    let tr = eng.toggled_residue(i, target, line, state, scratch);
-                    (residues[i] - tr, tr)
+                    let tr = eng.toggled_residue(c, target, line, state, scratch);
+                    (residues[c] - tr, tr)
                 }
                 None => {
                     let (m, mean) = (ctx.matrix, ctx.config.mean);
-                    let g = action::gain(m, state, residues[i], target, line, mean, scratch);
+                    let g = action::gain(m, state, residues[c], target, line, mean, scratch);
                     (g, f64::NAN)
                 }
             };
             if gain > best_gain {
                 best_gain = gain;
-                best = Some(Partial {
-                    cluster: clusters[i],
-                    gain,
+                best = Some(Winner {
+                    cluster: c,
                     toggled,
                 });
             }
@@ -377,58 +320,139 @@ impl Lane {
         best
     }
 
-    /// This lane's candidate for a pre-decided action: the action itself if
-    /// the lane owns its cluster and it is still allowed.
-    fn pre_decided(&self, ctx: &Ctx, ea: &EvaluatedAction) -> Option<Partial> {
-        let i = self.local(ctx, ea.action.cluster)?;
-        let local = Action {
-            target: ea.action.target,
-            cluster: i,
-        };
-        (ea.gain != f64::NEG_INFINITY && !blocked(ctx.matrix, &self.states, local, ctx.config))
-            .then_some(Partial {
+    /// Computes every cluster's candidate for `target` and writes this
+    /// lane's terms for them, cluster by cluster, to its own post.
+    fn post_terms(&mut self, ctx: &Ctx, target: Target, line: &Line) {
+        let eng = self
+            .engine
+            .as_ref()
+            .expect("lanes run the incremental engine");
+        let out = &mut self.posts[self.id];
+        out.clear();
+        self.candidates.clear();
+        for (c, state) in self.states.iter().enumerate() {
+            let blocked = || {
+                blocked(
+                    ctx.matrix,
+                    &self.states,
+                    Action { target, cluster: c },
+                    ctx.config,
+                )
+            };
+            let candidate = if !eng.shared(state) {
+                if cluster_owner(c, ctx.lanes) == self.id {
+                    out.push(if blocked() {
+                        f64::NAN
+                    } else {
+                        eng.toggled_residue(c, target, line, state, &mut self.scratch)
+                    });
+                }
+                Candidate::Whole
+            } else if blocked() {
+                Candidate::Blocked
+            } else {
+                match eng.prelude(c, target, line, state, &mut self.scratch) {
+                    None => Candidate::Empty,
+                    Some(p) => {
+                        eng.post_terms(c, &p, line, state, &mut self.scratch, out);
+                        Candidate::Query(p)
+                    }
+                }
+            };
+            self.candidates.push(candidate);
+        }
+    }
+
+    /// Posts this lane's terms for `round` and copies every other lane's;
+    /// `false` if lane 0 aborted the loop.
+    fn exchange(&mut self, ctx: &Ctx, mailbox: &Mailbox, round: u64) -> bool {
+        mailbox.post(self.id, round, &self.posts[self.id], false);
+        (0..ctx.lanes)
+            .filter(|&l| l != self.id)
+            .all(|l| mailbox.read(l, round, &mut self.posts[l]))
+    }
+
+    /// Replays every cluster's terms from the lanes' posts and keeps the
+    /// first best, exactly as [`Lane::score`] would with every line.
+    fn replay(&mut self, ctx: &Ctx) -> Option<Winner> {
+        let eng = self
+            .engine
+            .as_ref()
+            .expect("lanes run the incremental engine");
+        let (posts, cursors) = (&self.posts, &mut self.cursors);
+        cursors.iter_mut().for_each(|at| *at = 0);
+        let mut best = None;
+        let mut best_gain = f64::NEG_INFINITY;
+        for (c, candidate) in self.candidates.iter().enumerate() {
+            let toggled = match candidate {
+                Candidate::Blocked => continue,
+                Candidate::Empty => 0.0,
+                Candidate::Query(p) => eng.replay(p, &self.states[c], |rank, _| {
+                    let l = ctx.owners[rank] as usize;
+                    let at = cursors[l];
+                    cursors[l] += p.stride();
+                    Term::read(p, &posts[l][at..])
+                }),
+                Candidate::Whole => {
+                    let l = cluster_owner(c, ctx.lanes);
+                    cursors[l] += 1;
+                    posts[l][cursors[l] - 1]
+                }
+            };
+            let gain = self.residues[c] - toggled;
+            if gain > best_gain {
+                best_gain = gain;
+                best = Some(Winner {
+                    cluster: c,
+                    toggled,
+                });
+            }
+        }
+        best
+    }
+
+    /// This lane's pick for a pre-decided action: the action itself if it
+    /// is still allowed.
+    fn pre_decided(&self, ctx: &Ctx, ea: &EvaluatedAction) -> Option<Winner> {
+        (ea.gain != f64::NEG_INFINITY && !blocked(ctx.matrix, &self.states, ea.action, ctx.config))
+            .then_some(Winner {
                 cluster: ea.action.cluster,
-                gain: ea.gain,
                 toggled: f64::NAN,
             })
     }
 
-    /// Performs the toggle `act` on its local cluster `i` and returns the
-    /// cluster's new residue. `toggled` is the winner's queried residue
-    /// when refreshed gains produced it; `line` is the target's line.
-    fn apply(&mut self, ctx: &Ctx, i: usize, act: Action, toggled: f64, line: &Line) -> f64 {
-        let local = Action {
-            target: act.target,
-            cluster: i,
-        };
+    /// Performs the toggle `act` and records the cluster's new residue.
+    /// `toggled` is the winner's queried residue when refreshed gains
+    /// produced it; `line` is the target's line.
+    fn apply(&mut self, ctx: &Ctx, act: Action, toggled: f64, line: &Line) {
         let Lane {
             states,
             residues,
             engine,
             scratch,
+            stats,
             ..
         } = self;
-        let new_res = match engine.as_mut() {
+        let c = act.cluster;
+        residues[c] = match engine.as_mut() {
             Some(eng) => {
                 let tr = if ctx.config.refresh_gains {
                     toggled
                 } else {
                     // The pre-decided gain is stale; query the residue the
                     // toggle actually produces against the current state.
-                    eng.toggled_residue(i, act.target, line, &states[i], scratch)
+                    eng.toggled_residue(c, act.target, line, &states[c], scratch)
                 };
                 // Repair the indexes from the pre-toggle state, then toggle.
-                eng.apply(line, &states[i], local);
-                action::apply(states, local, line);
+                stats.repairs += eng.apply(line, &states[c], act) as u64;
+                action::apply(states, act, line);
                 tr
             }
             None => {
-                action::apply(states, local, line);
-                states[i].residue(ctx.matrix, ctx.config.mean, scratch)
+                action::apply(states, act, line);
+                states[c].residue(ctx.matrix, ctx.config.mean, scratch)
             }
         };
-        residues[i] = new_res;
-        new_res
     }
 
     /// Runs the whole action sequence. Lane 0 gets the books and the stop
@@ -445,17 +469,15 @@ impl Lane {
         for (n, ea) in ctx.actions.iter().enumerate() {
             let round = n as u64 + 1;
             if let Some(reason) = stop.and_then(|poll| poll()) {
-                let abort = Post {
-                    partial: None,
-                    abort: true,
-                };
-                mailbox.post(self.id, round, abort);
+                if ctx.lanes > 1 {
+                    mailbox.post(self.id, round, &[], true);
+                }
                 return Some(reason);
             }
             let target = ea.action.target;
             // The target's line, read once for the scoring and the apply.
             let mut line = None;
-            let partial = if refresh {
+            let winner = if refresh {
                 // Re-decide this target's best action against the *current*
                 // clustering (§4.1: "examined sequentially … decided and
                 // performed"). Negative best gains are still performed.
@@ -463,26 +485,21 @@ impl Lane {
                 clock.lap(&mut self.stats.eval_nanos);
                 self.prepare(ctx);
                 clock.lap(&mut self.stats.rebuild_nanos);
-                self.score(ctx, target, line)
+                if ctx.lanes == 1 {
+                    self.score(ctx, target, line)
+                } else {
+                    self.post_terms(ctx, target, line);
+                    clock.lap(&mut self.stats.eval_nanos);
+                    if !self.exchange(ctx, mailbox, round) {
+                        return None;
+                    }
+                    clock.lap(&mut self.stats.wait_nanos);
+                    self.replay(ctx)
+                }
             } else {
                 self.pre_decided(ctx, ea)
             };
             clock.lap(&mut self.stats.eval_nanos);
-            let post = Post {
-                partial,
-                abort: false,
-            };
-            mailbox.post(self.id, round, post);
-
-            let mut winner = None;
-            for lane in 0..ctx.lanes {
-                let post = mailbox.read(lane, round);
-                if post.abort {
-                    return None;
-                }
-                winner = merge([winner, post.partial]);
-            }
-            clock.lap(&mut self.stats.wait_nanos);
 
             if winner.is_some() && !refresh {
                 // Every cluster prepares before a pre-decided action's
@@ -490,26 +507,22 @@ impl Lane {
                 self.prepare(ctx);
                 clock.lap(&mut self.stats.rebuild_nanos);
             }
-            let applied = winner.and_then(|w| {
-                let i = self.local(ctx, w.cluster)?;
-                let act = Action {
-                    target,
-                    cluster: w.cluster,
-                };
-                let line = line.get_or_insert_with(|| target.line(ctx.matrix));
-                Some(self.apply(ctx, i, act, w.toggled, line))
-            });
-            if let Some(book) = book.as_deref_mut() {
-                match winner {
-                    None => book.skipped += 1,
-                    Some(w) => {
-                        book.performed.push(Action {
-                            target,
-                            cluster: w.cluster,
-                        });
-                        // Another lane's winner comes from a refreshed
-                        // incremental query, which yields its new residue.
-                        book.fold(w.cluster, applied.unwrap_or(w.toggled));
+            match winner {
+                None => {
+                    if let Some(book) = book.as_deref_mut() {
+                        book.skipped += 1;
+                    }
+                }
+                Some(w) => {
+                    let act = Action {
+                        target,
+                        cluster: w.cluster,
+                    };
+                    let line = line.get_or_insert_with(|| target.line(ctx.matrix));
+                    self.apply(ctx, act, w.toggled, line);
+                    if let Some(book) = book.as_deref_mut() {
+                        book.performed.push(act);
+                        book.fold(&self.residues);
                     }
                 }
             }
@@ -526,13 +539,14 @@ pub(crate) struct Performed {
     pub skipped: usize,
     pub best_prefix_avg: f64,
     pub best_prefix_len: usize,
-    /// The engine with every lane's part collected back, counters summed.
-    pub engine: Option<IncrementalEngine>,
+    /// The engine's [`IncrementalEngine::counters`] after the loop, each
+    /// cluster event counted once; zero without an engine.
+    pub counters: (u64, u64),
     pub lanes: Vec<LaneStats>,
 }
 
 /// Performs `actions` in order on `states` (whose residues are
-/// `residues`) across `lanes` cluster lanes, tracking the best prefix by
+/// `residues`) across `lanes` line lanes, tracking the best prefix by
 /// average residue. `engine`, when present, must be built against
 /// `states`; more than one lane needs it and refreshed gains (see
 /// [`lane_count`]). Lane 0 runs on the calling thread and calls `stop`
@@ -550,37 +564,37 @@ pub(crate) fn perform(
     timing: bool,
     stop: &dyn Fn() -> Option<StopReason>,
 ) -> Result<Performed, StopReason> {
-    let k = states.len();
-    let lanes = lanes.clamp(1, k.max(1));
+    let lanes = lanes.max(1);
     assert!(
         lanes == 1 || (config.refresh_gains && engine.is_some()),
         "only refreshed incremental gains run on several lanes"
     );
-    let (indexes, layout, counters) = match engine {
-        Some(engine) => {
-            let (indexes, layout, counters) = engine.into_parts();
-            (deal(indexes, lanes), Some(layout), counters)
-        }
-        None => ((0..lanes).map(|_| Vec::new()).collect(), None, (0, 0)),
+    let lines = engine.as_ref().map_or(0, |e| e.line_count());
+    let engines: Vec<Option<IncrementalEngine>> = match engine {
+        Some(engine) => engine.split(&states, lanes).into_iter().map(Some).collect(),
+        None => vec![None],
     };
-    let mut dealt: Vec<Lane> = deal((0..k).collect(), lanes)
+    let k = states.len();
+    let mut all: Vec<Lane> = engines
         .into_iter()
-        .zip(deal(states, lanes))
-        .zip(deal(residues.clone(), lanes))
-        .zip(indexes)
+        .zip(vec![states; lanes])
         .enumerate()
-        .map(|(id, (((clusters, states), residues), indexes))| Lane {
+        .map(|(id, (engine, states))| Lane {
             id,
-            clusters,
+            stats: LaneStats {
+                lines: engine.as_ref().map_or(0, |e| e.held_lines(&states)),
+                ..LaneStats::default()
+            },
             states,
-            residues,
-            engine: layout.map(|layout| IncrementalEngine::from_parts(indexes, layout, (0, 0))),
+            residues: residues.clone(),
+            engine,
             scratch: Scratch::default(),
-            stats: LaneStats::default(),
+            candidates: Vec::with_capacity(k),
+            posts: vec![Vec::new(); lanes],
+            cursors: vec![0; lanes],
         })
         .collect();
     let mut book = Book {
-        residues,
         performed: Vec::with_capacity(actions.len()),
         skipped: 0,
         best_prefix_avg: f64::INFINITY,
@@ -592,10 +606,11 @@ pub(crate) fn perform(
         config,
         actions,
         lanes,
+        owners: (0..lines).map(|j| line_owner(j, lanes) as u32).collect(),
         timing,
     };
     let mailbox = &Mailbox::new(lanes);
-    let (first, rest) = dealt.split_first_mut().expect("at least one lane");
+    let (first, rest) = all.split_first_mut().expect("at least one lane");
     let stopped = std::thread::scope(|scope| {
         for lane in rest {
             scope.spawn(move || {
@@ -610,35 +625,16 @@ pub(crate) fn perform(
         return Err(reason);
     }
 
-    let mut stats = Vec::with_capacity(lanes);
-    let mut states = Vec::with_capacity(lanes);
-    let mut indexes = Vec::with_capacity(lanes);
-    let (mut rebuilds, mut repairs) = counters;
-    for lane in dealt {
-        let mut lane_repairs = 0;
-        if let Some(engine) = lane.engine {
-            let (lane_indexes, _, (r, p)) = engine.into_parts();
-            (rebuilds, repairs) = (rebuilds + r, repairs + p);
-            lane_repairs = p;
-            indexes.push(lane_indexes);
-        }
-        stats.push(LaneStats {
-            clusters: lane.clusters.len(),
-            repairs: lane_repairs,
-            ..lane.stats
-        });
-        states.push(lane.states);
-    }
+    let lanes = all.iter().map(|lane| lane.stats).collect();
+    let lane0 = all.swap_remove(0);
     Ok(Performed {
-        states: join(states),
+        states: lane0.states,
         performed: book.performed,
         skipped: book.skipped,
         best_prefix_avg: book.best_prefix_avg,
         best_prefix_len: book.best_prefix_len,
-        engine: layout.map(|layout| {
-            IncrementalEngine::from_parts(join(indexes), layout, (rebuilds, repairs))
-        }),
-        lanes: stats,
+        counters: lane0.engine.map_or((0, 0), |e| e.counters()),
+        lanes,
     })
 }
 
@@ -646,26 +642,31 @@ pub(crate) fn perform(
 mod tests {
     use super::*;
     use crate::cluster::DeltaCluster;
+    use crate::residue::ResidueMean;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::Cell;
 
-    /// A random 40×16 matrix, four overlapping clusters on it with their
-    /// residues and engine, and one refreshed action per target.
-    fn setup(mean: crate::residue::ResidueMean) -> (DataMatrix, FlocConfig, Vec<EvaluatedAction>) {
+    /// A random `rows × cols` matrix, 90% specified, and one refreshed
+    /// action per target.
+    fn setup(
+        rows: usize,
+        cols: usize,
+        mean: ResidueMean,
+    ) -> (DataMatrix, FlocConfig, Vec<EvaluatedAction>) {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut m = DataMatrix::builder(40, 16).build();
-        for r in 0..40 {
-            for c in 0..16 {
+        let mut m = DataMatrix::builder(rows, cols).build();
+        for r in 0..rows {
+            for c in 0..cols {
                 if rng.gen_bool(0.9) {
                     m.set(r, c, rng.gen_range(0.0..50.0));
                 }
             }
         }
         let config = FlocConfig::builder(4).mean(mean).build();
-        let actions = (0..40)
+        let actions = (0..rows)
             .map(Target::Row)
-            .chain((0..16).map(Target::Col))
+            .chain((0..cols).map(Target::Col))
             .map(|target| EvaluatedAction {
                 action: Action { target, cluster: 0 },
                 gain: 0.0,
@@ -674,21 +675,22 @@ mod tests {
         (m, config, actions)
     }
 
+    /// Four overlapping clusters on the 40×16 matrix.
+    fn overlapping() -> Vec<DeltaCluster> {
+        (0..4)
+            .map(|c| DeltaCluster::from_indices(40, 16, c * 8..c * 8 + 12, c..c + 6))
+            .collect()
+    }
+
     fn run(
         m: &DataMatrix,
         config: &FlocConfig,
         actions: &[EvaluatedAction],
+        clusters: &[DeltaCluster],
         lanes: usize,
         stop: &dyn Fn() -> Option<StopReason>,
     ) -> Result<Performed, StopReason> {
-        let states: Vec<ClusterState> = (0..4)
-            .map(|c| {
-                ClusterState::new(
-                    m,
-                    &DeltaCluster::from_indices(40, 16, c * 8..c * 8 + 12, c..c + 6),
-                )
-            })
-            .collect();
+        let states: Vec<ClusterState> = clusters.iter().map(|c| ClusterState::new(m, c)).collect();
         let mut scratch = Scratch::default();
         let residues = states
             .iter()
@@ -708,17 +710,44 @@ mod tests {
         )
     }
 
+    /// A lane loop agrees with the one-lane loop on everything it returns,
+    /// its lanes' lines and line repairs add up to the one lane's, and
+    /// the engine counters count each cluster event once.
+    fn assert_agree(r: &Performed, serial: &Performed, what: &str) {
+        let clusters = |p: &Performed| p.states.iter().map(|s| s.to_cluster()).collect::<Vec<_>>();
+        assert_eq!(clusters(r), clusters(serial), "{what}");
+        assert_eq!(r.performed, serial.performed, "{what}");
+        assert_eq!(r.skipped, serial.skipped, "{what}");
+        assert_eq!(r.best_prefix_len, serial.best_prefix_len, "{what}");
+        assert_eq!(
+            r.best_prefix_avg.to_bits(),
+            serial.best_prefix_avg.to_bits(),
+            "{what}"
+        );
+        assert_eq!(r.counters, serial.counters, "{what}");
+        let total = |p: &Performed, f: fn(&LaneStats) -> u64| p.lanes.iter().map(f).sum::<u64>();
+        assert_eq!(
+            total(r, |l| l.lines as u64),
+            total(serial, |l| l.lines as u64),
+            "{what}"
+        );
+        assert_eq!(
+            total(r, |l| l.repairs),
+            total(serial, |l| l.repairs),
+            "{what}"
+        );
+    }
+
     /// Lane 0's abort mark stops every lane at the same action, wherever it
     /// falls (no lane is left waiting), and a loop that runs through agrees
     /// with one lane on everything it returns.
     #[test]
     fn lanes_stop_together_and_agree_with_one_lane() {
-        for mean in [
-            crate::residue::ResidueMean::Arithmetic,
-            crate::residue::ResidueMean::Squared,
-        ] {
-            let (m, config, actions) = setup(mean);
-            let serial = run(&m, &config, &actions, 1, &|| None).unwrap();
+        for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+            let (m, config, actions) = setup(40, 16, mean);
+            let clusters = overlapping();
+            let serial = run(&m, &config, &actions, &clusters, 1, &|| None).unwrap();
+            assert!(serial.counters.1 > 0, "the loop repairs");
             for lanes in [1, 2, 3, 4] {
                 for abort_at in [0, 1, 17, actions.len() - 1] {
                     let polls = Cell::new(0);
@@ -726,76 +755,151 @@ mod tests {
                         polls.set(polls.get() + 1);
                         (polls.get() > abort_at).then_some(StopReason::Budget)
                     };
-                    let stopped = run(&m, &config, &actions, lanes, &stop);
+                    let stopped = run(&m, &config, &actions, &clusters, lanes, &stop);
                     assert!(
                         matches!(stopped, Err(StopReason::Budget)),
                         "x{lanes} at {abort_at}"
                     );
                     assert_eq!(polls.get(), abort_at + 1, "lane 0 polls once per action");
                 }
-                let r = run(&m, &config, &actions, lanes, &|| None).unwrap();
-                let clusters =
-                    |p: &Performed| p.states.iter().map(|s| s.to_cluster()).collect::<Vec<_>>();
-                assert_eq!(clusters(&r), clusters(&serial), "x{lanes}");
-                assert_eq!(r.performed, serial.performed);
-                assert_eq!(r.skipped, serial.skipped);
-                assert_eq!(r.best_prefix_len, serial.best_prefix_len);
-                assert_eq!(
-                    r.best_prefix_avg.to_bits(),
-                    serial.best_prefix_avg.to_bits()
-                );
-                let counters = |p: &Performed| p.engine.as_ref().unwrap().counters();
-                assert_eq!(counters(&r), counters(&serial), "x{lanes}");
+                let r = run(&m, &config, &actions, &clusters, lanes, &|| None).unwrap();
+                assert_agree(&r, &serial, &format!("{mean:?} x{lanes}"));
                 assert_eq!(r.lanes.len(), lanes);
-                assert_eq!(r.lanes.iter().map(|l| l.clusters).sum::<usize>(), 4);
             }
         }
     }
 
-    /// Lane `l` gets clusters `l, l + L, …` in order, and `join` undoes
-    /// `deal` for every lane count, including more lanes than clusters.
+    /// One "sink" cluster of about ten times the others' volume, on a tall
+    /// matrix (column lines) and a wide one (row lines), beside a cluster
+    /// too small to share: one to four lanes split the sink's lines evenly
+    /// and agree with one lane bit for bit.
     #[test]
-    fn lanes_deal_clusters_round_robin_and_join_them_back() {
-        assert_eq!(
-            deal((0..7).collect(), 3),
-            vec![vec![0, 3, 6], vec![1, 4], vec![2, 5]]
-        );
-        for k in 0..9 {
-            for lanes in 1..6 {
-                let dealt = deal((0..k).collect::<Vec<usize>>(), lanes);
-                for (l, part) in dealt.iter().enumerate() {
-                    for (i, &c) in part.iter().enumerate() {
-                        assert_eq!(owner(c, lanes), (l, i));
-                    }
+    fn lanes_share_a_sink_cluster_and_agree_with_one_lane() {
+        for (rows, cols) in [(120, 24), (24, 120)] {
+            let tall = rows > cols;
+            let pick = |long: std::ops::Range<usize>, short: std::ops::Range<usize>| {
+                if tall {
+                    DeltaCluster::from_indices(rows, cols, long, short)
+                } else {
+                    DeltaCluster::from_indices(rows, cols, short, long)
                 }
-                assert_eq!(join(dealt), (0..k).collect::<Vec<_>>());
+            };
+            // 80×16 against 10×12 and 40×3 (or their transposes).
+            let clusters = [
+                pick(0..80, 0..16),
+                pick(70..80, 10..22),
+                pick(80..120, 2..5),
+                pick(100..110, 8..20),
+            ];
+            for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
+                let (m, config, actions) = setup(rows, cols, mean);
+                let serial = run(&m, &config, &actions, &clusters, 1, &|| None).unwrap();
+                assert!(serial.counters.0 > 0 && serial.counters.1 > 0);
+                for lanes in 1..=4 {
+                    let r = run(&m, &config, &actions, &clusters, lanes, &|| None).unwrap();
+                    let what = format!("{rows}x{cols} {mean:?} x{lanes}");
+                    assert_agree(&r, &serial, &what);
+                    // Each cluster's member lines split within one line.
+                    let held: Vec<usize> = r.lanes.iter().map(|l| l.lines).collect();
+                    let (lo, hi) = (held.iter().min().unwrap(), held.iter().max().unwrap());
+                    assert!(hi - lo <= clusters.len(), "{what}: {held:?}");
+                }
             }
         }
     }
 
-    fn p(cluster: usize, gain: f64) -> Option<Partial> {
-        Some(Partial {
-            cluster,
-            gain,
-            toggled: 0.0,
-        })
-    }
-
+    /// After a split, the member line of rank `r` of a shared cluster (one
+    /// of at least 8 member lines) sits on lane `r mod L` and every line of
+    /// a smaller cluster on lane `c mod L`, bit for bit as the whole engine built
+    /// it, and every other lane holds it empty. After an apply along the
+    /// lines, each lane's `prepare` rebuilds just its lines of the stale
+    /// cluster as a whole rebuild lays them out, also when the toggle
+    /// makes a small cluster shared.
     #[test]
-    fn lanes_merge_takes_the_serial_first_maximum() {
-        // Equal gains go to the lower cluster id, in either lane order.
-        assert_eq!(merge([p(3, 2.0), p(1, 2.0)]).unwrap().cluster, 1);
-        assert_eq!(merge([p(1, 2.0), p(3, 2.0)]).unwrap().cluster, 1);
-        assert_eq!(merge([p(4, 1.0), p(2, 0.5), p(7, 1.5)]).unwrap().cluster, 7);
-        // Negative best gains are still performed.
-        assert_eq!(merge([None, p(5, -3.0), p(6, -4.0)]).unwrap().cluster, 5);
-        // An all-blocked target is skipped.
-        assert_eq!(merge([None, None]), None);
-        assert_eq!(merge(std::iter::empty()), None);
-        // A NaN gain never wins, wherever it sits; neither does −∞.
-        assert_eq!(merge([p(0, f64::NAN), p(2, -1.0)]).unwrap().cluster, 2);
-        assert_eq!(merge([p(2, -1.0), p(0, f64::NAN)]).unwrap().cluster, 2);
-        assert_eq!(merge([p(0, f64::NAN)]), None);
-        assert_eq!(merge([p(0, f64::NEG_INFINITY)]), None);
+    fn lanes_hold_every_line_on_its_owner() {
+        for (rows, cols) in [(40, 16), (16, 40)] {
+            let (m, config, _) = setup(rows, cols, ResidueMean::Squared);
+            // 9, 12 and 7 member lines.
+            let clusters: Vec<DeltaCluster> = [(0, 9), (3, 12), (8, 7)]
+                .into_iter()
+                .map(|(from, n)| {
+                    let (r, c) = (from..from + 12, from..from + n);
+                    if rows >= cols {
+                        DeltaCluster::from_indices(rows, cols, r, c)
+                    } else {
+                        DeltaCluster::from_indices(rows, cols, c, r)
+                    }
+                })
+                .collect();
+            let states: Vec<ClusterState> =
+                clusters.iter().map(|c| ClusterState::new(&m, c)).collect();
+            let lines = rows.min(cols);
+            // Non-member lines are empty everywhere.
+            let owner = |st: &ClusterState, c: usize, j: usize, lanes: usize| {
+                let members = if rows >= cols { &st.cols } else { &st.rows };
+                let rank = members.iter().position(|m| m == j).unwrap_or(0);
+                if members.len() >= 8 {
+                    line_owner(rank, lanes)
+                } else {
+                    cluster_owner(c, lanes)
+                }
+            };
+            for lanes in 1..=5 {
+                let mut whole = IncrementalEngine::build(&m, &states, config.mean);
+                let mut shares =
+                    IncrementalEngine::build(&m, &states, config.mean).split(&states, lanes);
+                assert_eq!(shares.len(), lanes);
+                let check = |whole: &IncrementalEngine,
+                             shares: &[IncrementalEngine],
+                             states: &[ClusterState],
+                             what: &str| {
+                    for (c, st) in states.iter().enumerate() {
+                        for j in 0..lines {
+                            for (l, share) in shares.iter().enumerate() {
+                                let want = if owner(st, c, j, lanes) == l {
+                                    whole.line_bits(c, j)
+                                } else {
+                                    Vec::new()
+                                };
+                                let got = share.line_bits(c, j);
+                                assert_eq!(got, want, "{what} x{lanes} c{c} j{j}");
+                            }
+                        }
+                    }
+                    let held: usize = shares.iter().map(|s| s.held_lines(states)).sum();
+                    assert_eq!(held, whole.held_lines(states), "{what} x{lanes}");
+                };
+                check(&whole, &shares, &states, &format!("{rows}x{cols} split"));
+
+                // Along toggles: one on a shared cluster, and one that
+                // gives the 7-line cluster its 8th line; then prepare.
+                let mut toggled = states.clone();
+                for (cluster, x) in [(1, 15), (2, 15)] {
+                    let target = if rows >= cols {
+                        Target::Col(x)
+                    } else {
+                        Target::Row(x)
+                    };
+                    let line = target.line(&m);
+                    let act = Action { target, cluster };
+                    assert_eq!(
+                        whole.apply(&line, &toggled[cluster], act),
+                        0,
+                        "marked stale"
+                    );
+                    for share in &mut shares {
+                        assert_eq!(share.apply(&line, &toggled[cluster], act), 0);
+                    }
+                    crate::action::apply(&mut toggled, act, &line);
+                }
+                assert!(whole.shared(&toggled[2]) && !whole.shared(&states[2]));
+                whole.prepare(&m, &toggled);
+                for share in &mut shares {
+                    share.prepare(&m, &toggled);
+                    assert_eq!(share.counters(), whole.counters());
+                }
+                check(&whole, &shares, &toggled, &format!("{rows}x{cols} rebuilt"));
+            }
+        }
     }
 }

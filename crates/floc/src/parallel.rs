@@ -34,7 +34,7 @@ use std::time::Instant;
 /// across thread counts), and ties are broken toward the smallest seed,
 /// so the outcome is deterministic regardless of the split or of thread
 /// scheduling. The cores are split the same way: each restart's perform
-/// loop runs at most `cores / workers` (at least 1) cluster lanes, so the
+/// loop runs at most `cores / workers` (at least 1) line lanes, so the
 /// racing restarts never spin more lanes than the process has cores.
 ///
 /// Each finished restart emits a `floc.restart` event on `obs` (arrival

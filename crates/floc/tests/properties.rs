@@ -452,11 +452,11 @@ fn thread_variants(k: usize, seed: u64, engine: GainEngineKind) -> Vec<FlocConfi
 
 proptest! {
     /// Gain evaluation and engine rebuilds fan out across threads, and the
-    /// perform loop splits into one cluster lane per thread, but the search
+    /// perform loop splits into one line lane per thread, but the search
     /// is bit-identical for every thread count: per-target argmax scans
     /// clusters in index order on whichever worker owns the target, lanes
-    /// merge their partial argmaxes with the same tie rule (ties break
-    /// toward the lowest cluster index), and each cluster's indexes are an
+    /// replay every cluster's per-line terms in the serial summation order
+    /// and keep the same first maximum, and each cluster's indexes are an
     /// independent build. Pin it for both engines across threads ∈
     /// {1, 2, 3, 4, 8} (3 does not divide k = 2 or 4), with refreshed and
     /// pre-decided actions, both residue means and a cross-cluster
