@@ -173,6 +173,13 @@ fn serve_exits_0_on_sigint() {
 /// a cooperative drain (server stops accepting, miner stops at its next
 /// safe boundary); a second SIGINT force-quits immediately with exit 3.
 /// The state directory keeps its last durable checkpoint either way.
+///
+/// The signals wait on the `--log json` event stream, not on the clock:
+/// the first goes once the miner reports a batch under way (past its
+/// interrupt check, so parked in the batch's stall), and the process must
+/// still be running once the server reports its drain done. A first
+/// SIGINT sent before the miner starts a batch stops the miner at once,
+/// and the process exits 0 on its own.
 #[test]
 fn serve_mine_second_sigint_forces_exit_3() {
     let dir = scratch_dir("dc-cli-exit-double-sigint");
@@ -203,25 +210,39 @@ fn serve_mine_second_sigint_forces_exit_3() {
             "127.0.0.1:0",
             "--threads",
             "2",
+            "--log",
+            "json",
         ])
         // Every batch stalls 10s at its safe-point, so the miner is parked
         // mid-step when the signals arrive and the drain outlives both.
         .env("DC_CHAOS", "online.miner.batch=delay:10000")
         .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
+        .stderr(Stdio::null())
         .spawn()
         .expect("failed to spawn serve --mine");
 
-    // Skip the miner recovery note; wait for the serving line.
-    let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
-    let mut line = String::new();
-    while !line.contains("serving") {
-        line.clear();
-        assert!(
-            stderr.read_line(&mut line).unwrap() > 0,
-            "stderr closed before the serving line"
-        );
-    }
+    // Event lines, read off stdout as they arrive.
+    let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let (lines, events) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in stdout.lines().map_while(Result::ok) {
+            if lines.send(line).is_err() {
+                break;
+            }
+        }
+    });
+    let wait_for = |event: &str, within: Duration| {
+        let tag = format!("\"event\":\"{event}\"");
+        let deadline = Instant::now() + within;
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            match events.recv_timeout(left) {
+                Ok(line) if line.contains(&tag) => return true,
+                Ok(_) => {}
+                Err(_) => return false,
+            }
+        }
+        false
+    };
 
     let pid = child.id().to_string();
     let sigint = |pid: &str| {
@@ -231,10 +252,14 @@ fn serve_mine_second_sigint_forces_exit_3() {
             .expect("failed to run kill");
         assert!(st.success());
     };
-    sigint(&pid);
-    std::thread::sleep(Duration::from_millis(400));
     assert!(
-        child.try_wait().unwrap().is_none(),
+        wait_for("miner.batch.start", Duration::from_secs(30)),
+        "the miner never started a batch"
+    );
+    sigint(&pid);
+    let drained = wait_for("net.shutdown", Duration::from_secs(8));
+    assert!(
+        drained && child.try_wait().unwrap().is_none(),
         "first SIGINT must drain, not exit"
     );
     sigint(&pid);

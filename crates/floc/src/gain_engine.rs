@@ -558,6 +558,9 @@ pub(crate) struct Buckets {
     /// The member columns a lane holds of a shared cluster (column lines),
     /// so the fill pass reads only those.
     held: Option<BitSet>,
+    /// The held member columns as a list, in ascending order (column
+    /// lines): the fill pass's loop over a fully specified row.
+    held_cols: Vec<usize>,
     /// The line sort's scratch (`DimIndex::assign_sorted`).
     sort: LineSort,
 }
@@ -603,7 +606,9 @@ impl ClusterIndex {
     /// of the cluster in such a column goes to its column's bucket (a counting
     /// sort on the known column counts), then each bucket is sorted by
     /// `(value, id)`. Ids are unique within a bucket, so the order the
-    /// pass fills it in never shows.
+    /// pass fills it in never shows. A row specified on every member column
+    /// fills from its values directly, one storage match per row; a row
+    /// with gaps walks its specification mask.
     fn rebuild_cols(
         &mut self,
         matrix: &DataMatrix,
@@ -616,6 +621,7 @@ impl ClusterIndex {
             entries,
             next,
             held: cols,
+            held_cols,
             sort,
             ..
         } = buf;
@@ -630,27 +636,50 @@ impl ClusterIndex {
             }
             &*cols
         };
+        held_cols.clear();
+        held_cols.extend(cols.iter());
         next.clear();
         next.resize(matrix.cols(), 0);
         let mut end = 0;
-        for j in cols.iter() {
+        for &j in held_cols.iter() {
             next[j] = end;
             end += st.col_specified(j) as usize;
         }
         entries.clear();
         entries.resize(end, (0.0, 0));
+        let members = st.cols.len() as u32;
         for i in st.rows.iter() {
-            if st.row_specified(i) == 0 {
+            let specified = st.row_specified(i);
+            if specified == 0 {
                 continue; // no entries in J, and no base
             }
-            let rb = st.row_sum(i) / st.row_specified(i) as f64;
-            for (j, v) in matrix.row_specified_in(i, cols) {
-                entries[next[j]] = (v - rb, i as u32);
-                next[j] += 1;
+            let rb = st.row_sum(i) / specified as f64;
+            let id = i as u32;
+            if specified < members {
+                for (j, v) in matrix.row_specified_in(i, cols) {
+                    entries[next[j]] = (v - rb, id);
+                    next[j] += 1;
+                }
+                continue;
+            }
+            let row = matrix.row_of(i);
+            match row.values() {
+                ValuesSlice::F64(v) => {
+                    for &j in held_cols.iter() {
+                        entries[next[j]] = (v[j] - rb, id);
+                        next[j] += 1;
+                    }
+                }
+                ValuesSlice::F32(v) => {
+                    for &j in held_cols.iter() {
+                        entries[next[j]] = (f64::from(v[j]) - rb, id);
+                        next[j] += 1;
+                    }
+                }
             }
         }
         let mut start = 0;
-        for j in cols.iter() {
+        for &j in held_cols.iter() {
             // Each cursor has advanced to its bucket's end.
             self.lines[j].assign_sorted(&mut entries[start..next[j]], sort, mean);
             start = next[j];
@@ -1355,6 +1384,7 @@ mod tests {
     use super::*;
     use crate::cluster::DeltaCluster;
     use crate::stats::Scratch;
+    use dc_matrix::ValueStorage;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1483,7 +1513,7 @@ mod tests {
                     }
                 }
             }
-            let f32 = m.with_storage(dc_matrix::ValueStorage::F32).unwrap();
+            let f32 = m.with_storage(ValueStorage::F32).unwrap();
             out.push((format!("{name} f64"), m));
             out.push((format!("{name} f32"), f32));
         }
@@ -2023,20 +2053,40 @@ mod tests {
     /// exactly as a column-major build sorting each column on its own.
     #[test]
     fn column_lines_rebuild_matches_a_column_major_build() {
-        let m = random_matrix(70, 9, 0.8, 21);
+        // Rows with gaps and fully specified rows, both storage types, and
+        // every lane's share of the columns.
+        let shares = [
+            Held::ALL,
+            Held { first: 0, step: 2 },
+            Held { first: 1, step: 2 },
+        ];
+        for (density, storage, held) in [0.8, 1.0]
+            .into_iter()
+            .flat_map(|d| [ValueStorage::F64, ValueStorage::F32].map(|s| (d, s)))
+            .flat_map(|(d, s)| shares.map(|h| (d, s, h)))
+        {
+            let m = random_matrix(70, 9, density, 21)
+                .with_storage(storage)
+                .unwrap();
+            check_column_lines_rebuild(&m, held);
+        }
+    }
+
+    fn check_column_lines_rebuild(m: &DataMatrix, held: Held) {
         let cluster =
             DeltaCluster::from_indices(70, 9, (0..70).filter(|r| r % 3 != 1), [0, 2, 3, 7]);
-        let st = ClusterState::new(&m, &cluster);
+        let st = ClusterState::new(m, &cluster);
+        let held_cols: Vec<usize> = held.of(&st.cols).collect();
         for mean in [ResidueMean::Arithmetic, ResidueMean::Squared] {
             let layout = Layout {
                 mean,
                 lines: Lines::Cols,
             };
             let mut ci = ClusterIndex::new(9);
-            ci.rebuild(&m, &st, layout, Held::ALL, &mut Buckets::default());
+            ci.rebuild(m, &st, layout, held, &mut Buckets::default());
             for j in 0..9 {
                 let mut want = DimIndex::default();
-                if st.cols.contains(j) {
+                if held_cols.contains(&j) {
                     let column: Vec<(f64, u32)> = m
                         .col_specified_in(j, &st.rows)
                         .map(|(i, v)| (v - st.row_sum(i) / st.row_specified(i) as f64, i as u32))
@@ -2044,9 +2094,10 @@ mod tests {
                     want = line_of(&column, mean);
                 }
                 let got = &ci.lines[j];
-                assert_eq!(bits(&got.vals), bits(&want.vals), "col {j} ({mean:?})");
-                assert_eq!(got.ids, want.ids, "col {j} ({mean:?})");
-                assert_eq!(bits(&got.pre), bits(&want.pre), "col {j} ({mean:?})");
+                let at = format!("col {j} ({mean:?}, {:?}, {held:?})", m.storage());
+                assert_eq!(bits(&got.vals), bits(&want.vals), "{at}");
+                assert_eq!(got.ids, want.ids, "{at}");
+                assert_eq!(bits(&got.pre), bits(&want.pre), "{at}");
             }
         }
     }

@@ -378,6 +378,9 @@ pub struct Response {
     pub headers: Vec<(String, String)>,
     pub content_type: &'static str,
     pub body: Vec<u8>,
+    /// Predictions the body answers, for the server's predictions counter:
+    /// the handler counts them where it renders them.
+    pub predictions: u64,
 }
 
 impl Response {
@@ -387,6 +390,7 @@ impl Response {
             headers: Vec::new(),
             content_type: "application/json",
             body: body.into(),
+            predictions: 0,
         }
     }
 
@@ -396,6 +400,7 @@ impl Response {
             headers: Vec::new(),
             content_type: "text/plain; charset=utf-8",
             body: body.into(),
+            predictions: 0,
         }
     }
 

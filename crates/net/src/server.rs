@@ -35,7 +35,8 @@ use std::time::{Duration, Instant};
 /// their own handlers through [`serve_handler`], riding the same accept
 /// loop, bounded queue, and drain logic.
 pub trait RequestHandler: Send + Sync + 'static {
-    /// Routes one request. Must not panic on hostile input.
+    /// Routes one request. Must not panic on hostile input. The response's
+    /// [`Response::predictions`] is what the predictions counter adds.
     fn handle(&self, req: &Request) -> Response;
 
     /// The per-server request metrics the connection loop records into.
@@ -43,12 +44,6 @@ pub trait RequestHandler: Send + Sync + 'static {
 
     /// The observability handle `net.request` events report through.
     fn obs(&self) -> &Obs;
-
-    /// How many predictions `resp` answered for `req`, for the predictions
-    /// counter. Defaults to none.
-    fn predictions_in(&self, _req: &Request, _resp: &Response) -> u64 {
-        0
-    }
 }
 
 impl RequestHandler for AppState {
@@ -62,10 +57,6 @@ impl RequestHandler for AppState {
 
     fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    fn predictions_in(&self, req: &Request, resp: &Response) -> u64 {
-        api::predictions_in(req, resp)
     }
 }
 
@@ -327,7 +318,6 @@ fn serve_connection<H: RequestHandler>(
             Ok(req) => {
                 let started = Instant::now();
                 let resp = state.handle(&req);
-                let predictions = state.predictions_in(&req, &resp);
                 // Stop renewing keep-alive once shutdown begins so drains
                 // terminate instead of waiting out idle timeouts.
                 let keep = req.keep_alive && !stop.load(Ordering::Acquire);
@@ -340,7 +330,7 @@ fn serve_connection<H: RequestHandler>(
                     &req.path,
                     resp.status,
                     started.elapsed(),
-                    predictions,
+                    resp.predictions,
                 );
                 let wrote = resp.write_to(&mut writer, keep, head_only);
                 if wrote.is_err() || !keep {

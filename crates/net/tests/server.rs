@@ -363,10 +363,6 @@ impl RequestHandler for GatedMetrics {
     fn obs(&self) -> &Obs {
         self.app.obs()
     }
-
-    fn predictions_in(&self, req: &Request, resp: &Response) -> u64 {
-        self.app.predictions_in(req, resp)
-    }
 }
 
 /// A request is counted before its response is written: a `/metrics` read

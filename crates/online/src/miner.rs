@@ -353,6 +353,9 @@ impl Miner {
         if self.cursor >= self.events.len() {
             return Ok(StepOutcome::Exhausted);
         }
+        // Past the interrupt check, this batch runs: a stop lands after it.
+        self.obs
+            .emit("miner.batch.start", &[Field::new("cursor", self.cursor)]);
         safepoint("online.miner.batch");
 
         let end = (self.cursor + self.config.batch).min(self.events.len());
