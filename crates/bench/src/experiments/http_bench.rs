@@ -29,7 +29,7 @@ pub struct HttpRun {
     /// Batched predict queries answered per second — the headline number.
     pub predict_qps: f64,
     pub requests_per_sec: f64,
-    /// Server-side request latency quantiles (log₂-bucket estimates).
+    /// Server-side request latency quantiles (log-linear bucket estimates, at most 6.25% high).
     pub p50_request_nanos: u64,
     pub p99_request_nanos: u64,
 }

@@ -148,8 +148,17 @@ impl RecvError {
     }
 }
 
+/// Bytes one read may add to an [`HttpReader`]'s buffer.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Reads requests incrementally from `inner`, carrying leftover bytes
 /// between calls so pipelined requests are never dropped.
+///
+/// Each read lands straight in the reader's buffer, up to 64 KiB at a
+/// time, and a consumed request only advances an offset; the buffer is
+/// compacted or grown (zero-filling only the growth) when a read needs
+/// room. A head is parsed once: [`request_buffered`](Self::request_buffered)
+/// and [`next_request`](Self::next_request) share that parse.
 ///
 /// For network streams, set the socket read timeout to a short slice (the
 /// server uses [`HttpReader::POLL_SLICE`]); `next_request` treats
@@ -158,8 +167,21 @@ impl RecvError {
 /// responsive to graceful shutdown without platform-specific polling.
 pub struct HttpReader<R> {
     inner: R,
+    /// Unconsumed bytes are `buf[start..end]`; the rest is read room.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The parsed head of the request at `start`, or why it failed.
+    head: Option<Result<Head, RecvError>>,
     limits: Limits,
+}
+
+/// A parsed request head whose body may still be arriving.
+struct Head {
+    request: Request,
+    /// Bytes of request line, headers and the blank line.
+    len: usize,
+    body_len: usize,
 }
 
 impl<R: Read> HttpReader<R> {
@@ -171,13 +193,26 @@ impl<R: Read> HttpReader<R> {
         HttpReader {
             inner,
             buf: Vec::new(),
+            start: 0,
+            end: 0,
+            head: None,
             limits,
         }
     }
 
     /// Bytes buffered but not yet consumed (start of a pipelined request).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.end - self.start
+    }
+
+    /// Whether [`next_request`](Self::next_request) would return without
+    /// reading: a whole request, or a head that already fails, is
+    /// buffered. Never reads.
+    pub fn request_buffered(&mut self) -> bool {
+        self.parse_buffered_head()
+            && self
+                .whole_len()
+                .is_none_or(|whole| self.buffered() >= whole)
     }
 
     /// Reads the next request. `stop`, when provided and raised, aborts
@@ -186,68 +221,84 @@ impl<R: Read> HttpReader<R> {
     /// the connection drains).
     pub fn next_request(&mut self, stop: Option<&AtomicBool>) -> Result<Request, RecvError> {
         let started = Instant::now();
-        let mut saw_bytes = !self.buf.is_empty();
+        let mut saw_bytes = self.buffered() > 0;
 
         // Phase 1: accumulate until the head terminator.
-        let head_end = loop {
-            if let Some(end) = find_head_end(&self.buf) {
-                break end;
+        while !self.parse_buffered_head() {
+            if self.fill(started, saw_bytes, stop)? == 0 {
+                return if saw_bytes {
+                    Err(RecvError::Malformed(
+                        "unexpected end of request head".into(),
+                    ))
+                } else {
+                    Err(RecvError::Closed)
+                };
             }
-            if self.buf.len() > self.limits.max_head_bytes {
-                return Err(RecvError::HeadTooLarge);
-            }
-            match self.fill(started, saw_bytes, stop)? {
-                0 => {
-                    return if saw_bytes {
-                        Err(RecvError::Malformed(
-                            "unexpected end of request head".into(),
-                        ))
-                    } else {
-                        Err(RecvError::Closed)
-                    };
-                }
-                _ => saw_bytes = true,
-            }
-        };
-        if head_end > self.limits.max_head_bytes {
-            return Err(RecvError::HeadTooLarge);
+            saw_bytes = true;
         }
-
-        let head = self.buf[..head_end].to_vec();
-        let mut request = parse_head(&head)?;
+        let Some(whole) = self.whole_len() else {
+            return Err(self
+                .head
+                .take()
+                .and_then(Result::err)
+                .expect("a failed head"));
+        };
 
         // Phase 2: the body, if one was declared.
-        let body_len = match request.header("transfer-encoding") {
-            Some(te) if !te.eq_ignore_ascii_case("identity") => {
-                return Err(RecvError::Unsupported(format!(
-                    "transfer-encoding {te:?} not implemented"
-                )));
-            }
-            _ => match request.header("content-length") {
-                None => 0,
-                Some(raw) => {
-                    let n: u64 = raw.trim().parse().map_err(|_| {
-                        RecvError::Malformed(format!("invalid content-length {raw:?}"))
-                    })?;
-                    if n > self.limits.max_body_bytes as u64 {
-                        return Err(RecvError::BodyTooLarge);
-                    }
-                    n as usize
-                }
-            },
-        };
-        let body_start = head_end + 4;
-        while self.buf.len() < body_start + body_len {
+        while self.buffered() < whole {
             if self.fill(started, true, stop)? == 0 {
                 return Err(RecvError::Malformed(
                     "unexpected end of request body".into(),
                 ));
             }
         }
-        request.body = self.buf[body_start..body_start + body_len].to_vec();
+        let Some(Ok(Head {
+            mut request, len, ..
+        })) = self.head.take()
+        else {
+            unreachable!("the head parsed above");
+        };
+        request.body = self.buf[self.start + len..self.start + whole].to_vec();
         // Keep pipelined leftovers for the next call.
-        self.buf.drain(..body_start + body_len);
+        self.start += whole;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
         Ok(request)
+    }
+
+    /// Parses the buffered head once its terminator has arrived (or it
+    /// outgrew [`Limits::max_head_bytes`]), keeping the result for the
+    /// calls that follow. `false` while the head is still arriving.
+    fn parse_buffered_head(&mut self) -> bool {
+        if self.head.is_none() {
+            let pending = &self.buf[self.start..self.end];
+            self.head = match find_head_end(pending) {
+                Some(end) if end > self.limits.max_head_bytes => Some(Err(RecvError::HeadTooLarge)),
+                Some(end) => Some(parse_head(&pending[..end]).and_then(|request| {
+                    let body_len = body_len(&request, &self.limits)?;
+                    Ok(Head {
+                        request,
+                        len: end + 4,
+                        body_len,
+                    })
+                })),
+                None if pending.len() > self.limits.max_head_bytes => {
+                    Some(Err(RecvError::HeadTooLarge))
+                }
+                None => None,
+            };
+        }
+        self.head.is_some()
+    }
+
+    /// Head plus declared body bytes of the request at `start`, once its
+    /// head has parsed.
+    fn whole_len(&self) -> Option<usize> {
+        match &self.head {
+            Some(Ok(head)) => Some(head.len + head.body_len),
+            _ => None,
+        }
     }
 
     /// One read into the buffer. Returns bytes added; 0 means EOF.
@@ -258,12 +309,20 @@ impl<R: Read> HttpReader<R> {
         saw_bytes: bool,
         stop: Option<&AtomicBool>,
     ) -> Result<usize, RecvError> {
+        if self.buf.len() - self.end < READ_CHUNK {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            if self.buf.len() - self.end < READ_CHUNK {
+                self.buf.resize(self.end + READ_CHUNK, 0);
+            }
+        }
         loop {
-            let mut chunk = [0u8; 4096];
-            match self.inner.read(&mut chunk) {
-                Ok(0) => return Ok(0),
+            match self
+                .inner
+                .read(&mut self.buf[self.end..self.end + READ_CHUNK])
+            {
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.end += n;
                     return Ok(n);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -289,6 +348,28 @@ impl<R: Read> HttpReader<R> {
                 Err(e) => return Err(RecvError::Io(e)),
             }
         }
+    }
+}
+
+/// The body length a request head declares, within `limits`.
+fn body_len(request: &Request, limits: &Limits) -> Result<usize, RecvError> {
+    match request.header("transfer-encoding") {
+        Some(te) if !te.eq_ignore_ascii_case("identity") => Err(RecvError::Unsupported(format!(
+            "transfer-encoding {te:?} not implemented"
+        ))),
+        _ => match request.header("content-length") {
+            None => Ok(0),
+            Some(raw) => {
+                let n: u64 = raw
+                    .trim()
+                    .parse()
+                    .map_err(|_| RecvError::Malformed(format!("invalid content-length {raw:?}")))?;
+                if n > limits.max_body_bytes as u64 {
+                    return Err(RecvError::BodyTooLarge);
+                }
+                Ok(n as usize)
+            }
+        },
     }
 }
 
@@ -370,7 +451,7 @@ fn parse_head(head: &[u8]) -> Result<Request, RecvError> {
     Ok(request)
 }
 
-/// A response under construction; serialized by [`Response::write_to`].
+/// A response under construction; serialized by [`Response::append_to`].
 #[derive(Debug, Clone)]
 pub struct Response {
     pub status: u16,
@@ -419,15 +500,14 @@ impl Response {
         self
     }
 
-    /// Serializes status line, headers, and body. `head_only` omits the
+    /// Appends the serialized status line, headers, and body to `out`,
+    /// where a connection gathers what it writes. `head_only` omits the
     /// body (HEAD requests) while keeping the Content-Length honest.
-    pub fn write_to<W: std::io::Write>(
-        &self,
-        w: &mut W,
-        keep_alive: bool,
-        head_only: bool,
-    ) -> std::io::Result<()> {
-        let mut head = format!(
+    pub fn append_to(&self, out: &mut Vec<u8>, keep_alive: bool, head_only: bool) {
+        use std::io::Write as _;
+        // Writing into a Vec cannot fail.
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
             reason(self.status),
@@ -436,20 +516,15 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" },
         );
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        head.push_str("\r\n");
-        // One write per response: head and body in separate writes would
-        // emit two TCP segments and interact badly with delayed ACKs.
-        let mut frame = head.into_bytes();
+        out.extend_from_slice(b"\r\n");
         if !head_only {
-            frame.extend_from_slice(&self.body);
+            out.extend_from_slice(&self.body);
         }
-        w.write_all(&frame)?;
-        w.flush()
     }
 }
 
@@ -605,8 +680,7 @@ mod tests {
         let mut out = Vec::new();
         Response::json(200, "{\"ok\":true}")
             .header("x-test", "1")
-            .write_to(&mut out, true, false)
-            .unwrap();
+            .append_to(&mut out, true, false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("content-length: 11"), "{text}");
@@ -615,9 +689,7 @@ mod tests {
         assert!(text.ends_with("{\"ok\":true}"), "{text}");
 
         let mut head_only = Vec::new();
-        Response::json(200, "{\"ok\":true}")
-            .write_to(&mut head_only, false, true)
-            .unwrap();
+        Response::json(200, "{\"ok\":true}").append_to(&mut head_only, false, true);
         let text = String::from_utf8(head_only).unwrap();
         assert!(text.contains("content-length: 11"), "{text}");
         assert!(text.contains("connection: close"), "{text}");
@@ -675,8 +747,102 @@ mod tests {
         // A partial request is buffered: that's a 408.
         let mut r = HttpReader::new(Idle, limits);
         r.buf.extend_from_slice(b"GET / HT");
+        r.end = r.buf.len();
         let err = r.next_request(None).unwrap_err();
         assert!(matches!(err, RecvError::Timeout), "{err:?}");
         assert_eq!(err.response().unwrap().status, 408);
+    }
+
+    /// Hands out its bytes `step` at a time; a read past them is a bug
+    /// when `strict`, else EOF.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        strict: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            assert!(
+                !(self.strict && self.bytes.is_empty()),
+                "read past the input"
+            );
+            let n = self.step.min(self.bytes.len()).min(out.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn request_buffered_sees_whole_requests_without_reading() {
+        let first = b"POST /a HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc";
+        let second = b"GET /b HTTP/1.1\r\n\r\n";
+        let partial = b"POST /c HTTP/1.1\r\ncontent-length: 5\r\n\r\nxy";
+        let bytes = [&first[..], second, partial].concat();
+        let mut r = HttpReader::new(
+            Trickle {
+                bytes: &bytes,
+                step: bytes.len(),
+                strict: true,
+            },
+            Limits::default(),
+        );
+        assert!(!r.request_buffered(), "nothing read yet");
+        assert_eq!(r.next_request(None).unwrap().body, b"abc");
+        // The rest arrived in the same read; nothing below reads again.
+        assert!(r.request_buffered());
+        assert!(r.request_buffered(), "asking twice changes nothing");
+        assert_eq!(r.next_request(None).unwrap().path, "/b");
+        assert!(!r.request_buffered(), "the third body is short");
+        assert_eq!(r.buffered(), partial.len());
+    }
+
+    #[test]
+    fn a_failed_head_is_buffered_and_returned_once_parsed() {
+        let bytes = b"GET /ok HTTP/1.1\r\n\r\nGET / HTTP/9\r\n\r\n";
+        let mut r = HttpReader::new(
+            Trickle {
+                bytes,
+                step: bytes.len(),
+                strict: true,
+            },
+            Limits::default(),
+        );
+        assert_eq!(r.next_request(None).unwrap().path, "/ok");
+        assert!(r.request_buffered(), "its error is ready without a read");
+        let err = r.next_request(None).unwrap_err();
+        assert!(matches!(err, RecvError::Unsupported(_)), "{err:?}");
+    }
+
+    #[test]
+    fn trickled_and_large_pipelines_parse_in_order() {
+        // Bodies larger than one read, and reads of a few bytes, give the
+        // same requests in the same order.
+        let mut bytes = Vec::new();
+        let bodies: Vec<Vec<u8>> = (0..6u8)
+            .map(|i| vec![b'a' + i; 10 + 40_000 * usize::from(i % 3)])
+            .collect();
+        for body in &bodies {
+            bytes.extend_from_slice(
+                format!("POST /p HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len()).as_bytes(),
+            );
+            bytes.extend_from_slice(body);
+        }
+        for step in [3, 1000, READ_CHUNK, usize::MAX] {
+            let mut r = HttpReader::new(
+                Trickle {
+                    bytes: &bytes,
+                    step,
+                    strict: false,
+                },
+                Limits::default(),
+            );
+            for body in &bodies {
+                assert_eq!(&r.next_request(None).unwrap().body, body, "step {step}");
+            }
+            assert!(matches!(r.next_request(None), Err(RecvError::Closed)));
+            assert!(r.buf.len() <= 2 * READ_CHUNK + 80_100, "step {step}");
+        }
     }
 }

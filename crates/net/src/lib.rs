@@ -27,7 +27,7 @@
 //!   CLI wires the SIGINT flag): stop accepting, answer what's in flight,
 //!   close idle keep-alives, all under a deadline.
 //! - **Observable.** Every answered request emits a `net.request` event
-//!   through `dc-obs` and lands in counters + a log₂ latency histogram
+//!   through `dc-obs` and lands in counters + a log-linear latency histogram
 //!   served back on `GET /metrics` (JSON or Prometheus text).
 //!
 //! ## Quickstart

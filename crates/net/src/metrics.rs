@@ -47,7 +47,11 @@ impl ServerMetrics {
         ServerMetrics::default()
     }
 
-    /// Records one answered request and emits the `net.request` event.
+    /// Records one answered request and emits the `net.request` event:
+    /// `method`, `path`, `status`, `duration_nanos`, and `latency_bucket`,
+    /// the latency's [`dc_obs::bucket_of`] index in the log-linear
+    /// histogram (16 buckets per power of two; see
+    /// [`dc_obs::HISTOGRAM_BUCKETS`]).
     pub fn record_request(
         &self,
         obs: &Obs,
@@ -226,7 +230,7 @@ impl MetricsReport {
             self.active_connections
         ));
         out.push_str(&format!(
-            "# HELP dc_net_request_latency_seconds Request latency (log2-bucket estimate)\n\
+            "# HELP dc_net_request_latency_seconds Request latency (log-linear bucket estimate, at most 6.25% high)\n\
              # TYPE dc_net_request_latency_seconds summary\n\
              dc_net_request_latency_seconds{{quantile=\"0.5\"}} {}\n\
              dc_net_request_latency_seconds{{quantile=\"0.99\"}} {}\n\

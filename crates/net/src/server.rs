@@ -22,7 +22,7 @@ use crate::metrics::ServerMetrics;
 use crate::pool::{BoundedQueue, PushError, WorkerPool};
 use crate::state::AppState;
 use dc_obs::{Field, Obs};
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -268,12 +268,29 @@ fn accept_loop<H: RequestHandler>(
     // while queued ones drain.
 }
 
+/// Output bytes a connection gathers before writing them, even while
+/// more whole requests are buffered.
+const WRITE_CAP: usize = 64 * 1024;
+
 /// Answers a connection the queue refused: 503 + Retry-After, then close.
 fn reject<H: RequestHandler>(mut conn: TcpStream, state: &H, write_timeout: Duration) {
     state.metrics().record_rejected(state.obs());
     let _ = conn.set_write_timeout(Some(write_timeout));
-    let resp = crate::http::Response::error(503, "server is at capacity, retry shortly");
-    let _ = resp.write_to(&mut conn, false, false);
+    let mut out = Vec::new();
+    Response::error(503, "server is at capacity, retry shortly").append_to(&mut out, false, false);
+    let _ = flush(&mut conn, &mut out);
+}
+
+/// Writes what `out` gathered in one `write_all` and empties it.
+fn flush(conn: &mut TcpStream, out: &mut Vec<u8>) -> io::Result<()> {
+    if out.is_empty() {
+        return Ok(());
+    }
+    let wrote = conn.write_all(out);
+    out.clear();
+    // A huge answer should not pin its memory for the connection's life.
+    out.shrink_to(2 * WRITE_CAP);
+    wrote
 }
 
 /// Serves one connection to completion: keep-alive loop, typed error
@@ -289,6 +306,12 @@ fn handle_connection<H: RequestHandler>(
     state.metrics().connection_closed();
 }
 
+/// The keep-alive loop. Responses gather in one output buffer while the
+/// reader already holds the next whole request (a pipelined burst), and
+/// the buffer is written once: when no whole request is buffered, when
+/// keep-alive ends, with an error response last, or past [`WRITE_CAP`].
+/// Every request is counted before its bytes join the buffer, so before
+/// the client can see them.
 fn serve_connection<H: RequestHandler>(
     state: &H,
     conn: TcpStream,
@@ -312,15 +335,18 @@ fn serve_connection<H: RequestHandler>(
         Err(_) => return,
     };
     let mut reader = HttpReader::new(conn, limits.clone());
+    let mut out = Vec::new();
 
     loop {
         match reader.next_request(Some(stop)) {
             Ok(req) => {
                 let started = Instant::now();
                 let resp = state.handle(&req);
-                // Stop renewing keep-alive once shutdown begins so drains
-                // terminate instead of waiting out idle timeouts.
-                let keep = req.keep_alive && !stop.load(Ordering::Acquire);
+                // Stop renewing keep-alive once shutdown begins, past the
+                // requests already buffered, so drains terminate instead
+                // of waiting out idle timeouts.
+                let keep =
+                    req.keep_alive && (!stop.load(Ordering::Acquire) || reader.request_buffered());
                 let head_only = req.method == Method::Head;
                 // Count the request before the client can see its response,
                 // so a `/metrics` read issued after it always includes it.
@@ -332,8 +358,14 @@ fn serve_connection<H: RequestHandler>(
                     started.elapsed(),
                     resp.predictions,
                 );
-                let wrote = resp.write_to(&mut writer, keep, head_only);
-                if wrote.is_err() || !keep {
+                resp.append_to(&mut out, keep, head_only);
+                if !keep {
+                    let _ = flush(&mut writer, &mut out);
+                    return;
+                }
+                if (out.len() >= WRITE_CAP || !reader.request_buffered())
+                    && flush(&mut writer, &mut out).is_err()
+                {
                     return;
                 }
             }
@@ -347,13 +379,14 @@ fn serve_connection<H: RequestHandler>(
                         Duration::ZERO,
                         0,
                     );
-                    let _ = resp.write_to(&mut writer, false, false);
+                    resp.append_to(&mut out, false, false);
                 } else if matches!(err, RecvError::Io(_)) && state.obs().enabled() {
                     let text = err.to_string();
                     state
                         .obs()
                         .emit("net.conn_error", &[Field::new("error", text.as_str())]);
                 }
+                let _ = flush(&mut writer, &mut out);
                 return;
             }
         }

@@ -8,6 +8,8 @@ use dc_net::{
 };
 use dc_obs::{MemorySink, Obs};
 use dc_serve::ServeModel;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -398,5 +400,248 @@ fn metrics_count_a_response_before_the_client_sees_it() {
             .and_then(|(_, v)| v.as_u64());
         assert_eq!(predictions, Some(3 * sent), "after {sent} responses");
     }
+    assert!(handle.shutdown(), "drain must complete within grace");
+}
+
+/// A predict request whose batch depends on `i`, so answers differ and
+/// order shows.
+fn predict_request(i: usize, extra_header: &str) -> Vec<u8> {
+    let body = format!(
+        "{{\"queries\": [[{}, {}], [{}, {}], [{}, {}]]}}",
+        i % 8,
+        (3 * i) % 8,
+        (i + 1) % 8,
+        (5 * i + 2) % 8,
+        (i / 8) % 8,
+        i % 7
+    );
+    format!(
+        "POST /v1/predict HTTP/1.1\r\nhost: t\r\n{extra_header}content-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Length of the whole response at the front of `buf`, once it is there.
+fn whole_response_len(buf: &[u8]) -> Option<usize> {
+    let head = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
+    let text = std::str::from_utf8(&buf[..head]).unwrap();
+    let body: usize = text
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length: "))
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap();
+    (buf.len() >= head + body).then_some(head + body)
+}
+
+/// Splits bytes read to EOF into whole responses, head and body each.
+fn split_responses(mut raw: &[u8]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    while !raw.is_empty() {
+        let len = whole_response_len(raw).expect("a cut-off response");
+        out.push(raw[..len].to_vec());
+        raw = &raw[len..];
+    }
+    out
+}
+
+/// Reads one response off `stream` as raw bytes.
+fn read_raw(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Vec<u8> {
+    loop {
+        if let Some(len) = whole_response_len(buf) {
+            return buf.drain(..len).collect();
+        }
+        let mut chunk = [0u8; 4096];
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "closed before a whole response");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Each request sent alone, its response read before the next is sent.
+fn one_at_a_time(addr: std::net::SocketAddr, requests: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut buf = Vec::new();
+    requests
+        .iter()
+        .map(|req| {
+            stream.write_all(req).unwrap();
+            read_raw(&mut stream, &mut buf)
+        })
+        .collect()
+}
+
+/// Sends `requests` in one write, half-closes, and reads to EOF.
+fn burst(addr: std::net::SocketAddr, requests: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&requests.concat()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    split_responses(&raw)
+}
+
+#[test]
+fn a_pipelined_burst_answers_like_requests_sent_one_at_a_time() {
+    let fx = Fixture::quick();
+    let requests: Vec<Vec<u8>> = (0..64).map(|i| predict_request(i, "")).collect();
+    let alone = one_at_a_time(fx.addr(), &requests);
+    assert_eq!(alone.len(), 64);
+    assert_eq!(burst(fx.addr(), &requests), alone);
+    fx.finish();
+}
+
+#[test]
+fn a_malformed_request_mid_burst_is_answered_after_every_earlier_one() {
+    let fx = Fixture::quick();
+    let good: Vec<Vec<u8>> = (0..5).map(|i| predict_request(i, "")).collect();
+    let alone = one_at_a_time(fx.addr(), &good);
+    let mut requests = good.clone();
+    requests.push(b"GARBAGE\r\n\r\n".to_vec());
+    requests.extend((5..8).map(|i| predict_request(i, "")));
+    let got = burst(fx.addr(), &requests);
+    assert_eq!(got.len(), 6, "nothing after the 400");
+    assert_eq!(got[..5], alone[..]);
+    let last = String::from_utf8_lossy(&got[5]);
+    assert!(last.starts_with("HTTP/1.1 400 "), "{last}");
+    assert!(last.contains("connection: close"), "{last}");
+    fx.finish();
+}
+
+#[test]
+fn connection_close_mid_burst_is_the_last_answer() {
+    let fx = Fixture::quick();
+    let requests: Vec<Vec<u8>> = (0..6)
+        .map(|i| predict_request(i, if i == 3 { "connection: close\r\n" } else { "" }))
+        .collect();
+    let alone = one_at_a_time(fx.addr(), &requests[..3]);
+    let got = burst(fx.addr(), &requests);
+    assert_eq!(got.len(), 4, "nothing after the close");
+    assert_eq!(got[..3], alone[..]);
+    let last = String::from_utf8_lossy(&got[3]);
+    assert!(last.contains("connection: close"), "{last}");
+    let kept = last.replace("connection: close", "connection: keep-alive");
+    let fourth = one_at_a_time(fx.addr(), &[predict_request(3, "")]);
+    assert_eq!(kept.as_bytes(), &fourth[0][..]);
+    fx.finish();
+}
+
+/// [`AppState`] with a hook that runs before each request is handled.
+struct Hooked {
+    app: AppState,
+    hook: Box<dyn Fn(&Request) + Send + Sync>,
+}
+
+impl RequestHandler for Hooked {
+    fn handle(&self, req: &Request) -> Response {
+        (self.hook)(req);
+        self.app.handle(req)
+    }
+
+    fn metrics(&self) -> &ServerMetrics {
+        self.app.metrics()
+    }
+
+    fn obs(&self) -> &Obs {
+        self.app.obs()
+    }
+}
+
+fn serve_hooked(
+    stop: Arc<AtomicBool>,
+    hook: impl Fn(&Request) + Send + Sync + 'static,
+) -> ServerHandle<Hooked> {
+    let state = Arc::new(Hooked {
+        app: AppState::new(model_8x8(), Some("it.dcm"), 2, Obs::null()),
+        hook: Box::new(hook),
+    });
+    serve_handler(ServerConfig::default(), state, stop).expect("bind loopback")
+}
+
+/// Responses past the 64 KiB cap leave while the rest of the burst is
+/// still being answered: the burst's last request is held until the
+/// client has read the first response.
+#[test]
+fn a_burst_past_the_write_cap_arrives_whole_and_in_order() {
+    let released = Arc::new((Mutex::new(false), Condvar::new()));
+    let held_too_long = Arc::new(AtomicBool::new(false));
+    let handle = {
+        let (released, held_too_long) = (released.clone(), held_too_long.clone());
+        serve_hooked(Arc::new(AtomicBool::new(false)), move |req| {
+            if req.query.as_deref() == Some("last") {
+                let (done, cv) = &*released;
+                let guard = done.lock().unwrap();
+                let (_done, wait) = cv
+                    .wait_timeout_while(guard, Duration::from_secs(2), |done| !*done)
+                    .unwrap();
+                held_too_long.store(wait.timed_out(), Ordering::SeqCst);
+            }
+        })
+    };
+    // About 1.3 KiB per answer: 80 of them pass the cap.
+    let body: String = (0..32)
+        .map(|i| format!("[{}, {}]", i % 8, (i * 5) % 8))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let body = format!("{{\"queries\": [{body}]}}");
+    let request = |path: &str| {
+        format!(
+            "POST {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    };
+    let mut requests: Vec<Vec<u8>> = (0..79).map(|_| request("/v1/predict")).collect();
+    requests.push(request("/v1/predict?last"));
+    let alone = one_at_a_time(handle.addr(), &requests[..1]);
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.write_all(&requests.concat()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut buf = Vec::new();
+    let first = read_raw(&mut stream, &mut buf);
+    *released.0.lock().unwrap() = true;
+    released.1.notify_all();
+    stream.read_to_end(&mut buf).unwrap();
+    let mut got = vec![first];
+    got.extend(split_responses(&buf));
+
+    assert!(
+        !held_too_long.load(Ordering::SeqCst),
+        "nothing was written before the burst's last request"
+    );
+    assert!(got.iter().map(Vec::len).sum::<usize>() > 64 * 1024);
+    assert_eq!(got.len(), 80);
+    assert!(got.iter().all(|r| *r == alone[0]), "answers changed");
+    assert!(handle.shutdown(), "drain must complete within grace");
+}
+
+#[test]
+fn the_stop_flag_mid_burst_still_answers_what_is_buffered() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let requests: Vec<Vec<u8>> = (0..8).map(|i| predict_request(i, "")).collect();
+    let expected = {
+        let fx = Fixture::quick();
+        let alone = one_at_a_time(fx.addr(), &requests);
+        fx.finish();
+        alone
+    };
+    let handle = {
+        let (stop, seen) = (stop.clone(), seen.clone());
+        serve_hooked(stop.clone(), move |_| {
+            if seen.fetch_add(1, Ordering::SeqCst) == 2 {
+                stop.store(true, Ordering::SeqCst);
+            }
+        })
+    };
+    let got = burst(handle.addr(), &requests);
+    assert_eq!(got.len(), 8, "every buffered request is answered");
+    assert_eq!(got[..7], expected[..7]);
+    let last =
+        String::from_utf8_lossy(&got[7]).replace("connection: close", "connection: keep-alive");
+    assert_eq!(last.as_bytes(), &expected[7][..], "the last answer closes");
     assert!(handle.shutdown(), "drain must complete within grace");
 }

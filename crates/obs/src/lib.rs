@@ -20,7 +20,7 @@
 //!   is deliberately no global/static registry; the handle is threaded
 //!   through call sites explicitly.
 //! - Measurement primitives: [`SpanTimer`] (monotonic + wall-clock spans),
-//!   [`Counter`], the log₂-bucket [`Histogram`] generalised from the
+//!   [`Counter`], the log-linear [`Histogram`] generalised from the
 //!   serve latency histogram, and [`PhaseTimer`] for coarse benchmark
 //!   phases.
 //!

@@ -1,10 +1,11 @@
-//! Measurement primitives: counters, log₂ histograms, phase timers, and
-//! the aggregating [`MetricsSink`] behind `metrics.json` artifacts.
+//! Measurement primitives: counters, log-linear histograms, phase
+//! timers, and the aggregating [`MetricsSink`] behind `metrics.json`
+//! artifacts.
 //!
 //! The histogram generalises the latency histogram that grew up inside
-//! `dc-serve`: power-of-two buckets, cheap enough to update on every
-//! query, with quantile estimates that are upper bounds carrying at most
-//! 2× resolution error.
+//! `dc-serve`: 16 linear sub-buckets per power of two, cheap enough to
+//! update on every query, with quantile estimates that are upper bounds
+//! at most 6.25% above the true value.
 
 use crate::event::{Event, FieldValue};
 use crate::sink::{relock, Sink};
@@ -12,16 +13,35 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Number of power-of-two histogram buckets. Bucket `i` holds values in
-/// `[2^(i-1), 2^i)` (bucket 0 holds the value 0); the last bucket absorbs
-/// everything ≥ 2^(BUCKETS-2) — about 34 s when the unit is nanoseconds.
-pub const HISTOGRAM_BUCKETS: usize = 36;
+/// Sub-buckets per octave, as a power of two.
+const SUB_BITS: u32 = 4;
+/// Linear sub-buckets per octave.
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
 
-/// Bucket index for a sample: `⌈log₂(value)⌉ + 1`, clamped to the last
-/// bucket. Public so code persisting raw bucket vectors (the serve stats
-/// format) can stay bit-compatible with [`Histogram`].
+/// Number of log-linear histogram buckets, covering every `u64`. Values
+/// below 32 get a bucket each; above that, each power-of-two octave
+/// `[2^e, 2^(e+1))` splits into 16 equal buckets of width `2^(e-4)`, so a
+/// bucket's width is at most 1/16 (6.25%) of its lowest value.
+pub const HISTOGRAM_BUCKETS: usize = SUB_BUCKETS * (u64::BITS - SUB_BITS + 1) as usize;
+
+/// Bucket index for a sample. Public so events can carry a sample's
+/// bucket (`net.request`'s `latency_bucket`).
 pub fn bucket_of(value: u64) -> usize {
-    ((u64::BITS - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
+    if value < SUB_BUCKETS as u64 {
+        return value as usize;
+    }
+    let shift = u64::BITS - 1 - value.leading_zeros() - SUB_BITS;
+    ((shift as usize + 1) << SUB_BITS) + (value >> shift) as usize - SUB_BUCKETS
+}
+
+/// The smallest and largest value bucket `index` holds.
+fn bucket_bounds(index: usize) -> (u64, u64) {
+    if index < SUB_BUCKETS {
+        return (index as u64, index as u64);
+    }
+    let shift = (index >> SUB_BITS) - 1;
+    let low = ((SUB_BUCKETS + index % SUB_BUCKETS) as u64) << shift;
+    (low, low + ((1u64 << shift) - 1))
 }
 
 /// A monotonically increasing tally.
@@ -49,7 +69,8 @@ impl Counter {
     }
 }
 
-/// Log₂-bucket histogram over `u64` samples (typically nanoseconds).
+/// Log-linear histogram over `u64` samples (typically nanoseconds); see
+/// [`HISTOGRAM_BUCKETS`] for the layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
@@ -77,6 +98,17 @@ impl Histogram {
         self.buckets[bucket_of(value)] += 1;
         self.count += 1;
         self.total = self.total.saturating_add(value);
+    }
+
+    /// Records `n` samples summing to `total`, each at their mean: for a
+    /// batch timed once rather than per sample. The total stays exact.
+    pub fn record_mean(&mut self, total: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_of(total / n)] += n;
+        self.count += n;
+        self.total = self.total.saturating_add(total);
     }
 
     /// Records a duration as nanoseconds (saturating at `u64::MAX`).
@@ -115,8 +147,9 @@ impl Histogram {
         self.total.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Histogram-estimated quantile (`q` in `[0, 1]`): the upper bound of
-    /// the bucket containing the q-th ordered sample. 0 when empty.
+    /// Histogram-estimated quantile (`q` in `[0, 1]`): the largest value
+    /// of the bucket containing the q-th ordered sample, so never below
+    /// that sample and at most 6.25% above it. 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -126,10 +159,10 @@ impl Histogram {
         for (i, &count) in self.buckets.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return 1u64 << i;
+                return bucket_bounds(i).1;
             }
         }
-        1u64 << (HISTOGRAM_BUCKETS - 1)
+        u64::MAX
     }
 }
 
@@ -305,9 +338,16 @@ mod tests {
     fn histogram_buckets_are_log_scaled() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(1024), 11);
+        assert_eq!(bucket_of(31), 31);
+        // From 32 on, each octave splits into 16 buckets.
+        assert_eq!(bucket_of(32), 32);
+        assert_eq!(bucket_of(33), 32);
+        assert_eq!(bucket_of(34), 33);
+        assert_eq!(bucket_of(63), 47);
+        assert_eq!(bucket_of(64), 48);
+        assert_eq!(bucket_of(1024), 112);
+        assert_eq!(bucket_of(1087), 112);
+        assert_eq!(bucket_of(1088), 113);
         assert_eq!(bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
     }
 
@@ -320,26 +360,84 @@ mod tests {
         h.record(100_000);
         assert_eq!(h.count(), 100);
         assert_eq!(h.total(), 99 * 100 + 100_000);
-        assert!(h.quantile(0.5) <= 128);
+        assert_eq!(h.quantile(0.5), 103, "100 lies in [100, 103]");
         assert!(h.quantile(0.995) >= 100_000);
         assert_eq!(h.mean(), (99 * 100 + 100_000) / 100);
     }
 
     #[test]
-    fn bucket_boundaries_are_exact_powers_of_two() {
-        // Bucket i (i ≥ 1) holds [2^(i-1), 2^i): each power of two starts
-        // a new bucket, and the value just below it closes the previous.
-        for i in 1..HISTOGRAM_BUCKETS - 1 {
-            let lo = 1u64 << (i - 1);
-            let hi = (1u64 << i) - 1;
-            assert_eq!(bucket_of(lo), i, "2^{} should open bucket {i}", i - 1);
-            assert_eq!(bucket_of(hi), i, "2^{i}-1 should still be in bucket {i}");
+    fn every_bucket_boundary_is_exact() {
+        // The buckets tile 0..=u64::MAX in order: each one's lowest and
+        // highest value map to it, the next value opens the next bucket,
+        // and no bucket is wider than 1/16 of its lowest value.
+        let mut next = 0u64;
+        for i in 0..HISTOGRAM_BUCKETS {
+            let (lo, hi) = bucket_bounds(i);
+            assert_eq!(
+                lo,
+                next,
+                "bucket {i} must start where {} ended",
+                i.wrapping_sub(1)
+            );
+            assert_eq!(bucket_of(lo), i, "{lo} should open bucket {i}");
+            assert_eq!(bucket_of(hi), i, "{hi} should close bucket {i}");
+            assert!(
+                16 * u128::from(hi - lo) <= u128::from(lo),
+                "bucket {i} is too wide"
+            );
+            if i + 1 < HISTOGRAM_BUCKETS {
+                assert_eq!(bucket_of(hi + 1), i + 1);
+                next = hi + 1;
+            } else {
+                assert_eq!(hi, u64::MAX);
+            }
         }
-        // Everything at or past 2^(BUCKETS-2) clamps into the last bucket.
-        let last = HISTOGRAM_BUCKETS - 1;
-        assert_eq!(bucket_of(1u64 << (HISTOGRAM_BUCKETS - 2)), last);
-        assert_eq!(bucket_of(u64::MAX / 2), last);
-        assert_eq!(bucket_of(u64::MAX), last);
+    }
+
+    /// A splitmix64 stream: samples without a dependency.
+    fn samples(seed: u64, n: usize) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                // Spread over nine decades: a random bit length, then
+                // random bits below it.
+                let bits = (z % 31) as u32;
+                (z >> 33) >> (31 - bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn quantiles_lie_within_a_sixteenth_of_the_exact_ones() {
+        for seed in [1, 2, 3] {
+            let mut xs = samples(seed, 10_000);
+            let mut h = Histogram::new();
+            for &x in &xs {
+                h.record(x);
+            }
+            xs.sort_unstable();
+            assert!(
+                xs[xs.len() - 1] > 1_000_000_000 && xs[100] < 1_000,
+                "several decades"
+            );
+            for q in [
+                0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0,
+            ] {
+                let rank = ((q * xs.len() as f64).ceil() as usize).max(1);
+                let exact = xs[rank - 1];
+                let estimate = h.quantile(q);
+                assert!(estimate >= exact, "q {q}: {estimate} < {exact}");
+                assert!(
+                    (estimate - exact) as f64 <= 0.0625 * exact as f64,
+                    "q {q}: {estimate} vs exact {exact}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -355,8 +453,23 @@ mod tests {
         // total saturates instead of wrapping.
         assert_eq!(h.total(), u64::MAX);
         // The top quantile reports the last bucket's upper bound, never 0.
-        assert_eq!(h.quantile(1.0), 1u64 << (HISTOGRAM_BUCKETS - 1));
-        assert_eq!(h.quantile(0.0), 1); // rank clamps to the 1st sample
+        assert_eq!(h.quantile(1.0), u64::MAX);
+        assert_eq!(h.quantile(0.0), 0); // rank clamps to the 1st sample
+    }
+
+    #[test]
+    fn record_mean_counts_every_sample_at_the_mean() {
+        let mut h = Histogram::new();
+        h.record_mean(6_400, 64);
+        h.record_mean(123, 0);
+        assert_eq!(h.count(), 64);
+        assert_eq!(h.total(), 6_400);
+        assert_eq!(h.buckets()[bucket_of(100)], 64);
+        let mut each = Histogram::new();
+        for _ in 0..64 {
+            each.record(100);
+        }
+        assert_eq!(h, each);
     }
 
     #[test]
@@ -385,6 +498,25 @@ mod tests {
         // Merging an empty histogram is the identity.
         a.merge(&Histogram::new());
         assert_eq!(a, whole);
+    }
+
+    #[test]
+    fn merging_random_shards_equals_recording_every_sample_once() {
+        let xs = samples(7, 10_000);
+        let mut whole = Histogram::new();
+        let mut shards = vec![Histogram::new(); 4];
+        for (i, &x) in xs.iter().enumerate() {
+            whole.record(x);
+            shards[i % 4].record(x);
+        }
+        let mut merged = Histogram::new();
+        for shard in &shards {
+            merged.merge(shard);
+        }
+        assert_eq!(merged, whole);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(merged.quantile(q), whole.quantile(q));
+        }
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! The model is shared read-only behind an `Arc`, so any number of worker
 //! threads can answer point queries without synchronization; the only
 //! shared mutable state is the [`QueryStats`] aggregator behind a
-//! `parking_lot::Mutex`, which workers touch once per batch (thread-local
-//! tallies are merged, not per-query locking).
+//! `parking_lot::Mutex`, which workers touch once per batch chunk, not
+//! once per query.
 //!
 //! With an [`Obs`] handle attached (see [`QueryEngine::with_obs`]) the
-//! engine additionally emits a `serve.query` event per point query and a
-//! `serve.batch` span per batch; the default handle is null, so the
-//! unobserved engine pays one branch per query.
+//! engine additionally times every query, emitting a `serve.query` event
+//! per point query and a `serve.batch` span per batch. The default handle
+//! is null: an unobserved batch chunk reads the clock once and records
+//! each of its queries at the chunk's mean latency.
 
 use crate::model::ServeModel;
 use crate::stats::{QueryOutcome, QueryStats};
@@ -101,12 +102,14 @@ impl QueryEngine {
     /// returning results in query order. One thread means the caller's own:
     /// no thread is spawned.
     ///
-    /// Each worker owns a contiguous slice of the output and a thread-local
-    /// [`QueryStats`]; tallies are merged into the shared aggregator once
-    /// per worker, so throughput scales with cores instead of serializing
-    /// on a stats lock. Per-query `serve.query` events are emitted from
-    /// inside the workers (sinks are `Send + Sync`); their relative order
-    /// across workers is scheduler-dependent.
+    /// Each worker owns a contiguous slice of the output and publishes its
+    /// tallies into the shared aggregator once, so throughput scales with
+    /// cores instead of serializing on a stats lock. Unobserved, a worker
+    /// times its whole slice once and records each query at the slice's
+    /// mean latency. Observed, it times every query and emits its
+    /// `serve.query` event from inside the worker (sinks are
+    /// `Send + Sync`); their relative order across workers is
+    /// scheduler-dependent.
     pub fn predict_batch(
         &self,
         queries: &[(usize, usize)],
@@ -153,23 +156,38 @@ impl QueryEngine {
     }
 
     /// One worker's share of [`QueryEngine::predict_batch`]: answers
-    /// `queries` into `results` and merges its tallies once.
+    /// `queries` into `results` and publishes its tallies under one lock.
     fn answer_chunk(&self, queries: &[(usize, usize)], results: &mut [Result<f64, PredictError>]) {
-        let mut local = QueryStats::new();
-        let observe = self.obs.enabled();
-        for (&(row, col), slot) in queries.iter().zip(results.iter_mut()) {
-            let start = Instant::now();
-            let result = self.model.predict(row, col);
-            let latency = start.elapsed();
-            let outcome = outcome_of(&result);
-            local.record(outcome, latency);
-            if observe {
+        if self.obs.enabled() {
+            let mut local = QueryStats::new();
+            for (&(row, col), slot) in queries.iter().zip(results.iter_mut()) {
+                let start = Instant::now();
+                let result = self.model.predict(row, col);
+                let latency = start.elapsed();
+                let outcome = outcome_of(&result);
+                local.record(outcome, latency);
                 let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
                 self.emit_query(row, col, outcome, nanos, true);
+                *slot = result;
+            }
+            self.stats.lock().merge(&local);
+            return;
+        }
+        let start = Instant::now();
+        let (mut hits, mut misses, mut degenerate) = (0, 0, 0);
+        for (&(row, col), slot) in queries.iter().zip(results.iter_mut()) {
+            let result = self.model.predict(row, col);
+            match outcome_of(&result) {
+                QueryOutcome::Hit => hits += 1,
+                QueryOutcome::Miss => misses += 1,
+                QueryOutcome::Degenerate => degenerate += 1,
             }
             *slot = result;
         }
-        self.stats.lock().merge(&local);
+        let latency = start.elapsed();
+        self.stats
+            .lock()
+            .record_chunk(hits, misses, degenerate, latency);
     }
 
     /// A snapshot of the accumulated statistics.
@@ -296,6 +314,69 @@ mod tests {
         // Observed and unobserved engines answer identically.
         let plain = engine();
         assert_eq!(e.model().predict(1, 1), plain.model().predict(1, 1));
+    }
+
+    /// A 6×6 model with a covered 4×4 block and a 2×2 cluster over
+    /// missing cells, and every cell of it as a query: hits, misses and
+    /// degenerate answers.
+    fn three_outcome_model() -> (ServeModel, Vec<(usize, usize)>) {
+        let mut m = DataMatrix::builder(6, 6).build();
+        for r in 0..4 {
+            for c in 0..4 {
+                m.set(r, c, (r + 2 * c) as f64);
+            }
+        }
+        let clusters = vec![
+            DeltaCluster::from_indices(6, 6, 0..4, 0..4),
+            DeltaCluster::from_indices(6, 6, 4..6, 4..6),
+        ];
+        let model = ServeModel::new(m, clusters, vec![0.0, 0.0], 0.0).unwrap();
+        let queries = (0..6).flat_map(|r| (0..6).map(move |c| (r, c))).collect();
+        (model, queries)
+    }
+
+    #[test]
+    fn unobserved_batch_counts_like_per_query_predict() {
+        let (model, queries) = three_outcome_model();
+        let single = QueryEngine::new(model.clone());
+        let answers: Vec<_> = queries.iter().map(|&(r, c)| single.predict(r, c)).collect();
+        let want = single.stats();
+        assert_eq!((want.hits, want.misses, want.degenerate), (16, 16, 4));
+        for threads in [1, 3] {
+            let batched = QueryEngine::new(model.clone());
+            assert_eq!(batched.predict_batch(&queries, threads), answers);
+            let got = batched.stats();
+            assert_eq!(
+                (got.queries, got.hits, got.misses, got.degenerate),
+                (want.queries, want.hits, want.misses, want.degenerate),
+                "threads={threads}"
+            );
+            assert_eq!(got.latency_histogram().count(), want.queries);
+        }
+    }
+
+    #[test]
+    fn observed_batch_times_every_query() {
+        let (model, queries) = three_outcome_model();
+        for threads in [1, 3] {
+            let sink = dc_obs::MemorySink::new();
+            let e = QueryEngine::with_obs(model.clone(), Obs::new(sink.clone()));
+            let _ = e.predict_batch(&queries, threads);
+            let events = sink.named("serve.query");
+            assert_eq!(events.len(), queries.len(), "threads={threads}");
+            assert!(events
+                .iter()
+                .all(|q| q.u64_field("latency_nanos").is_some()));
+            let stats = e.stats();
+            assert_eq!(stats.queries, queries.len() as u64);
+            assert_eq!(stats.degenerate, 4);
+            // Each query's own latency is in the histogram.
+            let timed: u64 = events
+                .iter()
+                .filter_map(|q| q.u64_field("latency_nanos"))
+                .sum();
+            assert_eq!(stats.latency_histogram().total(), timed);
+        }
     }
 
     /// Records the thread that emitted each `serve.query` event.

@@ -1,5 +1,5 @@
 //! Query-serving statistics: counts, hit/miss accounting, and a
-//! log-scaled latency histogram cheap enough to update on every query.
+//! log-linear latency histogram cheap enough to update on every query.
 //!
 //! The histogram (bucket layout, quantile estimation) is
 //! [`dc_obs::Histogram`]; nothing persists these stats, and `metrics.json`
@@ -11,10 +11,11 @@ use std::time::Duration;
 
 /// Aggregate statistics for a stream of point queries.
 ///
-/// Latencies go into power-of-two buckets, so quantile estimates are upper
-/// bounds with at most 2× resolution error — plenty to distinguish an
-/// indexed lookup from a full model scan, which differ by orders of
-/// magnitude.
+/// Latencies go into log-linear buckets, so quantile estimates are upper
+/// bounds at most 6.25% above the true value. A point query is timed on
+/// its own; an unobserved batch chunk (see
+/// [`crate::QueryEngine::predict_batch`]) is timed once, and each of its
+/// queries is recorded at the chunk's mean latency.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryStats {
     /// Total queries answered (hits + misses + degenerate).
@@ -25,7 +26,8 @@ pub struct QueryStats {
     pub misses: u64,
     /// Queries covered only by degenerate (zero-volume) clusters.
     pub degenerate: u64,
-    /// Per-query latency in nanoseconds, one sample per query.
+    /// Per-query latency in nanoseconds, one sample per query (a batch
+    /// chunk's queries each at the chunk's mean).
     latency: Histogram,
 }
 
@@ -77,6 +79,18 @@ impl QueryStats {
             QueryOutcome::Degenerate => self.degenerate += 1,
         }
         self.latency.record_duration(latency);
+    }
+
+    /// Records a chunk of queries timed together: its outcome counts, and
+    /// each query at the chunk's mean latency.
+    pub fn record_chunk(&mut self, hits: u64, misses: u64, degenerate: u64, latency: Duration) {
+        let n = hits + misses + degenerate;
+        self.queries += n;
+        self.hits += hits;
+        self.misses += misses;
+        self.degenerate += degenerate;
+        let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
+        self.latency.record_mean(nanos, n);
     }
 
     /// Folds another stats block into this one (used by worker threads to
@@ -230,6 +244,24 @@ mod tests {
         let text = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn a_chunk_records_its_counts_at_the_mean_latency() {
+        let mut chunk = QueryStats::new();
+        chunk.record_chunk(2, 1, 1, Duration::from_nanos(400));
+        let mut each = QueryStats::new();
+        for outcome in [
+            QueryOutcome::Hit,
+            QueryOutcome::Miss,
+            QueryOutcome::Hit,
+            QueryOutcome::Degenerate,
+        ] {
+            each.record(outcome, Duration::from_nanos(100));
+        }
+        assert_eq!(chunk, each);
+        chunk.record_chunk(0, 0, 0, Duration::from_nanos(5));
+        assert_eq!(chunk, each, "an empty chunk records nothing");
     }
 
     #[test]
