@@ -17,7 +17,6 @@ fn main() {
         ("yeast", dc_bench::experiments::yeast::run),
         ("ablations", dc_bench::experiments::ablations::run),
         ("baselines", dc_bench::experiments::baselines::run),
-        ("floc_perf", dc_bench::experiments::floc_perf::run),
     ];
     let mut report = String::new();
     for (name, run) in experiments {

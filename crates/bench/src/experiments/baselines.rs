@@ -6,13 +6,12 @@
 //! PROCLUS, SUBCLU, Cheng–Church, and the §4.4 CLIQUE alternative — over
 //! the same embedded workloads (the fig8 uniform grid, a fig9-style
 //! heterogeneous-volume case, and a paged-backend case) and reports
-//! entry-level recall/precision, cluster-level matching, average residue,
-//! wall clock, and peak RSS per run.
+//! entry-level recall/precision, cluster-level matching, average residue
+//! and wall clock per run.
 //!
 //! The scaled default is CI-sized; `--full` grows the grid toward the
 //! paper's 3000×100 scale. Results land in `BENCH_baselines.json`.
 
-use crate::experiments::floc_perf::{report_meta, ReportMeta};
 use crate::opts::Opts;
 use dc_baselines::{
     AlternativeConfig, ChengChurchBaseline, ChengChurchConfig, CliqueBaseline, FitContext,
@@ -50,38 +49,47 @@ pub struct Record {
     pub avg_residue: f64,
     /// Wall-clock seconds of the fit.
     pub wall_s: f64,
-    /// Peak resident set during the fit, in kilobytes, when the kernel
-    /// exposes it (`/proc/self/status` `VmHWM`); `None` elsewhere.
-    pub peak_rss_kb: Option<u64>,
     /// Why the fit stopped.
     pub stop: String,
+}
+
+/// Environment metadata stamped into the report so readers can judge what
+/// the wall-clock column means.
+#[derive(Debug, Clone, Serialize)]
+pub struct ReportMeta {
+    /// Logical cores visible to the harness when it ran.
+    pub detected_cores: usize,
+    /// Interpretation caveats (single-core runner, etc.).
+    pub notes: Vec<String>,
+}
+
+/// Captures the current machine's metadata, including the single-core
+/// caveat when the runner cannot actually run threads in parallel.
+fn report_meta() -> ReportMeta {
+    let detected_cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let mut notes = Vec::new();
+    if detected_cores <= 1 {
+        notes.push(
+            "runner reports 1 logical core: wall clocks at threads > 1 measure \
+             oversubscription overhead, not parallel speedup"
+                .to_string(),
+        );
+    }
+    ReportMeta {
+        detected_cores,
+        notes,
+    }
 }
 
 /// Everything `BENCH_baselines.json` holds.
 #[derive(Debug, Serialize)]
 pub struct Report {
-    /// Where and how the numbers were measured (shared with `BENCH_floc`).
+    /// Where and how the numbers were measured.
     pub meta: ReportMeta,
     /// One record per algorithm × case, in case order.
     pub records: Vec<Record>,
-}
-
-/// Reads the peak resident set (`VmHWM`, kB) from `/proc/self/status`.
-///
-/// Peaks are process-lifetime high-water marks: we *attempt* to reset the
-/// counter first (`/proc/self/clear_refs`, value 5); where that write is
-/// not permitted the value is an upper bound carried over from earlier
-/// cases, which is why it is reported per-record rather than differenced.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-fn reset_peak_rss() {
-    // Best-effort: clearing refs with "5" resets VmHWM on Linux; ignored
-    // (and peak becomes an upper bound) where /proc is read-only.
-    let _ = std::fs::write("/proc/self/clear_refs", b"5");
 }
 
 /// One workload case: a matrix, its ground truth, and the per-case
@@ -219,12 +227,10 @@ fn algorithms(case: &Case) -> Vec<Box<dyn SubspaceAlgorithm>> {
 }
 
 fn measure(case: &Case, algo: &dyn SubspaceAlgorithm, threads: usize) -> Record {
-    reset_peak_rss();
     let ctx = FitContext::serial().with_threads(threads);
     let result = algo
         .fit(&case.matrix, &ctx)
         .unwrap_or_else(|e| panic!("{} failed on {}: {e}", algo.name(), case.name));
-    let peak = peak_rss_kb();
     let q = dc_eval::quality(&case.matrix, &case.truth, &result.clusters);
     let matches = dc_eval::match_clusters(&case.matrix, &case.truth, &result.clusters);
     let ms = dc_eval::match_summary(&matches, result.clusters.len(), 0.2);
@@ -240,7 +246,6 @@ fn measure(case: &Case, algo: &dyn SubspaceAlgorithm, threads: usize) -> Record 
         cluster_recall: ms.cluster_recall,
         avg_residue: result.avg_residue(),
         wall_s: result.elapsed.as_secs_f64(),
-        peak_rss_kb: peak,
         stop: result.stop.to_string(),
     }
 }
@@ -268,7 +273,6 @@ pub fn run(opts: &Opts) -> String {
         "f1",
         "avg residue",
         "time (s)",
-        "peak RSS (MB)",
     ]);
     for r in &records {
         t.row(vec![
@@ -280,8 +284,6 @@ pub fn run(opts: &Opts) -> String {
             fmt_f(r.f1, 3),
             fmt_f(r.avg_residue, 2),
             fmt_f(r.wall_s, 2),
-            r.peak_rss_kb
-                .map_or_else(|| "-".to_string(), |kb| fmt_f(kb as f64 / 1024.0, 1)),
         ]);
     }
     let report = Report {
@@ -324,12 +326,5 @@ mod tests {
             dc_baselines::ALGORITHM_NAMES.to_vec(),
             "contender list must cover ALGORITHM_NAMES in report order"
         );
-    }
-
-    #[test]
-    fn peak_rss_is_readable_on_linux() {
-        if cfg!(target_os = "linux") {
-            assert!(peak_rss_kb().unwrap_or(0) > 0);
-        }
     }
 }

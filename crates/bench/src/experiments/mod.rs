@@ -7,8 +7,6 @@ pub mod baselines;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;
-pub mod floc_perf;
-pub mod http_bench;
 pub mod table1;
 pub mod table2_3;
 pub mod table4;

@@ -1,8 +1,9 @@
 //! # dc-bench
 //!
 //! The experiment harness: one module (and one binary) per table/figure of
-//! the δ-cluster paper's evaluation section, plus criterion micro-benches
-//! for the hot kernels.
+//! the δ-cluster paper's evaluation section, plus the head-to-head
+//! `baselines` comparison. Performance is measured by `perfbench/`, not
+//! here.
 //!
 //! Every experiment:
 //!

@@ -1,9 +1,9 @@
 //! Publishing benchmark artifacts to the repository root.
 //!
 //! The experiment binaries write their JSON under `target/experiments/`
-//! (gitignored scratch). The headline trajectory files — `BENCH_floc.json`,
-//! `BENCH_http.json` — are additionally copied to the repo root at the end
-//! of each bench bin so the performance history rides along with the code.
+//! (gitignored scratch). The `baselines` quality table,
+//! `BENCH_baselines.json`, is additionally copied to the repo root so its
+//! history rides along with the code.
 //! Copies go through `dc_matrix::atomic::atomic_write` (temp + fsync + rename): a
 //! crashed bench never leaves a torn file in the tree.
 

@@ -191,8 +191,7 @@ impl ServeModel {
 
     /// Reference implementation: scan all k clusters and recompute bases
     /// per query (what callers had to do before this subsystem existed).
-    /// Kept as the correctness oracle and the baseline the `serve`
-    /// criterion bench compares against.
+    /// Kept as the correctness oracle for the indexed path.
     pub fn naive_predict(&self, row: usize, col: usize) -> Result<f64, PredictError> {
         if row >= self.matrix.rows() || col >= self.matrix.cols() {
             return Err(PredictError::NotCovered);
